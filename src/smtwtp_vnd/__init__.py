@@ -7,11 +7,9 @@ experiment harness that accounts for every objective evaluation.
 
 from .core import (
     EvalCounter,
-    Evaluation,
     Instance,
     RunTrace,
     Sequence,
-    evaluate,
     is_permutation,
     objective_value,
 )
@@ -25,9 +23,6 @@ from .engine import (
     Termination,
     descend,
     run,
-    run_vnd_adaptive,
-    run_vnd_fixed,
-    run_vnd_random,
 )
 from .harness import (
     CrossoverReport,
@@ -68,7 +63,6 @@ __all__ = [
     "DescentResult",
     "DescentRule",
     "EvalCounter",
-    "Evaluation",
     "ExperimentOutput",
     "ExperimentSpec",
     "InitialOrder",
@@ -89,7 +83,6 @@ __all__ = [
     "crossover_report",
     "descend",
     "enumerate_moves",
-    "evaluate",
     "generate_benchmark_set",
     "generate_instance",
     "is_permutation",
@@ -100,8 +93,5 @@ __all__ = [
     "parse_orlib",
     "run",
     "run_experiment",
-    "run_vnd_adaptive",
-    "run_vnd_fixed",
-    "run_vnd_random",
     "serialize_orlib",
 ]

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_indices(arg: str, count: int,
+def _parse_indices(arg: str,
                    parser: argparse.ArgumentParser) -> tuple[int, ...] | None:
     if arg.strip().lower() == "all":
         return None
@@ -68,9 +68,6 @@ def _parse_indices(arg: str, count: int,
         parser.error(f"--index must be 'all' or comma-separated integers, got {arg!r}")
     if not indices:
         parser.error("--index list is empty")
-    bad = [i for i in indices if not 1 <= i <= count]
-    if bad:
-        parser.error(f"instance indices {bad} outside [1, {count}]")
     return indices
 
 
@@ -90,23 +87,26 @@ def main(argv: list[str] | None = None) -> int:
     strategies = (
         ALL_STRATEGIES if args.strategy == "all" else (Strategy(args.strategy),)
     )
-    spec = ExperimentSpec(
-        instance_file=args.instances,
-        n=args.n,
-        count=args.count,
-        out_dir=args.out,
-        instance_indices=_parse_indices(args.index, args.count, parser),
-        strategies=strategies,
-        replications=args.replications,
-        descent_rule=(DescentRule.BEST_IMPROVEMENT if args.descent == "best"
-                      else DescentRule.FIRST_IMPROVEMENT),
-        probe_budget=args.probe_budget,
-        seed=args.seed,
-        nested=args.nested == "on",
-        max_evaluations=args.max_evals,
-        initial=InitialOrder(args.initial),
-        best_known_file=args.best_known,
-    )
+    try:
+        spec = ExperimentSpec(
+            instance_file=args.instances,
+            n=args.n,
+            count=args.count,
+            out_dir=args.out,
+            instance_indices=_parse_indices(args.index, parser),
+            strategies=strategies,
+            replications=args.replications,
+            descent_rule=(DescentRule.BEST_IMPROVEMENT if args.descent == "best"
+                          else DescentRule.FIRST_IMPROVEMENT),
+            probe_budget=args.probe_budget,
+            seed=args.seed,
+            nested=args.nested == "on",
+            max_evaluations=args.max_evals,
+            initial=InitialOrder(args.initial),
+            best_known_file=args.best_known,
+        )
+    except ValueError as exc:  # out-of-range or repeated --index
+        parser.error(str(exc))
 
     try:
         output = run_experiment(spec)

@@ -14,8 +14,8 @@ Sequence = tuple[int, ...]
 class Instance:
     """A single machine weighted tardiness instance.
 
-    Each of the three tuples has one entry per job: processing times are
-    >= 1, weights are >= 1, due dates are >= 0.
+    Each of the three tuples has one `int` entry per job: processing times
+    are >= 1, weights are >= 1, due dates are >= 0.
     """
 
     processing: tuple[int, ...]
@@ -23,9 +23,16 @@ class Instance:
     due: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "processing", tuple(self.processing))
-        object.__setattr__(self, "weight", tuple(self.weight))
-        object.__setattr__(self, "due", tuple(self.due))
+        for name in ("processing", "weight", "due"):
+            values = tuple(getattr(self, name))
+            # `bool` is a subclass of `int` but not job data.
+            bad = [v for v in values if type(v) is not int]
+            if bad:
+                raise TypeError(
+                    f"{name} values must be int, got {bad[0]!r} "
+                    f"({type(bad[0]).__name__})"
+                )
+            object.__setattr__(self, name, values)
         n = len(self.processing)
         if n < 1:
             raise ValueError("instance must have at least one job")
@@ -44,16 +51,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.processing)
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Completion times, tardiness values (both indexed by job), and the
-    total weighted tardiness of one sequence."""
-
-    completion: tuple[int, ...]
-    tardiness: tuple[int, ...]
-    objective: int
 
 
 class EvalCounter:
@@ -124,28 +121,3 @@ def objective_value(instance: Instance, order: Sequence) -> int:
             total += w[j] * late
     return total
 
-
-def evaluate(instance: Instance, order: Sequence, counter: EvalCounter) -> Evaluation:
-    """Evaluate one sequence: completion times, tardiness, and the weighted
-    tardiness objective.  Increments `counter` by exactly one."""
-    n = instance.n
-    if len(order) != n:
-        raise ValueError(
-            f"sequence has length {len(order)} but instance has {n} jobs"
-        )
-    if not is_permutation(order, n):
-        raise ValueError("sequence is not a permutation of 0..n-1")
-    p, w, d = instance.processing, instance.weight, instance.due
-    completion = [0] * n
-    tardiness = [0] * n
-    t = 0
-    total = 0
-    for j in order:
-        t += p[j]
-        completion[j] = t
-        late = t - d[j]
-        if late > 0:
-            tardiness[j] = late
-            total += w[j] * late
-    counter.tick()
-    return Evaluation(tuple(completion), tuple(tardiness), total)

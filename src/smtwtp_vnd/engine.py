@@ -1,11 +1,14 @@
-"""Descent within one neighborhood and the three selection strategies.
+"""Descent within one neighborhood and the VND loop of the three strategies.
 
-All three strategies share the same skeleton: evaluate the initial sequence
-once, then repeatedly pick a neighborhood and descend in it until no move
-improves, switching neighborhoods per strategy until none of the seven can
-improve the incumbent (or an evaluation budget runs out).  Every candidate
-objective determination ticks the shared counter, so runs of different
-strategies are comparable on the evaluation axis alone.
+`run` evaluates the initial sequence once, then repeatedly picks a
+neighborhood from those still eligible and descends in it until no move
+improves, until none of the seven can improve the incumbent (or an
+evaluation budget runs out).  The strategies differ only in that pick:
+`fixed` takes the first eligible one in canonical order, `random` draws one
+uniformly, and `adaptive` probes all seven with short capped descents and
+continues in the one whose probe got furthest.  Every candidate objective
+determination ticks the shared counter, so runs of different strategies
+are comparable on the evaluation axis alone.
 """
 
 import random
@@ -164,120 +167,69 @@ def descend(
     return DescentResult(current, current_obj, used, budget_hit)
 
 
-def _counted_initial(instance, order, counter, trace) -> int:
-    obj = objective_value(instance, order)
-    counter.tick()
-    trace.record_if_improved(counter, obj)
-    return obj
-
-
-def _finalize(current, current_obj, trace, counter, reason) -> RunResult:
-    trace.final_evaluations = counter.count
-    return RunResult(current, current_obj, trace, counter.count, reason)
-
-
-def run_vnd_fixed(instance: Instance, config: StrategyConfig) -> RunResult:
-    """Classical VND: neighborhoods in canonical order, restarting from the
-    first one after every improvement."""
-    if config.strategy is not Strategy.FIXED:
-        raise ValueError("config.strategy must be FIXED")
-    rng = random.Random(config.seed)
-    counter, trace = EvalCounter(), RunTrace()
-    current = initial_sequence(instance, config, rng)
-    current_obj = _counted_initial(instance, current, counter, trace)
-
-    while True:
-        improved = False
-        for kind in CANONICAL_ORDER:
-            res = descend(instance, current, kind, config, counter, trace,
-                          start_objective=current_obj)
-            improved = res.objective < current_obj
-            current, current_obj = res.sequence, res.objective
-            if res.budget_hit:
-                return _finalize(current, current_obj, trace, counter,
-                                 Termination.EVALUATION_BUDGET)
-            if improved:
-                break
-        if not improved:
-            return _finalize(current, current_obj, trace, counter,
-                             Termination.ALL_NEIGHBORHOODS_EXHAUSTED)
-
-
-def run_vnd_random(instance: Instance, config: StrategyConfig) -> RunResult:
-    """Random VND: the next neighborhood is drawn uniformly from those not
-    yet proven non-improving against the incumbent; any improvement resets
-    the candidate set to all seven."""
-    if config.strategy is not Strategy.RANDOM:
-        raise ValueError("config.strategy must be RANDOM")
-    rng = random.Random(config.seed)
-    counter, trace = EvalCounter(), RunTrace()
-    current = initial_sequence(instance, config, rng)
-    current_obj = _counted_initial(instance, current, counter, trace)
-
-    remaining = set(CANONICAL_ORDER)
-    while remaining:
-        choices = [k for k in CANONICAL_ORDER if k in remaining]
-        kind = choices[rng.randrange(len(choices))]
+def _probe(instance, current, current_obj, config, counter, trace):
+    """Adaptive selection: descend from `current` in every neighborhood,
+    capped at `config.probe_budget` candidates each.  Returns the kind whose
+    probe reached the lowest objective (canonical order breaks ties) and that
+    probe's result.  When the evaluation budget runs out, probing stops there
+    and the best result so far comes back flagged `budget_hit`."""
+    best_kind = best = None
+    for kind in CANONICAL_ORDER:
         res = descend(instance, current, kind, config, counter, trace,
-                      start_objective=current_obj)
-        improved = res.objective < current_obj
-        current, current_obj = res.sequence, res.objective
+                      start_objective=current_obj,
+                      max_candidates=config.probe_budget)
+        if best is None or res.objective < best.objective:
+            best_kind, best = kind, res
         if res.budget_hit:
-            return _finalize(current, current_obj, trace, counter,
-                             Termination.EVALUATION_BUDGET)
-        if improved:
-            remaining = set(CANONICAL_ORDER)
-        else:
-            remaining.discard(kind)
-    return _finalize(current, current_obj, trace, counter,
-                     Termination.ALL_NEIGHBORHOODS_EXHAUSTED)
-
-
-def run_vnd_adaptive(instance: Instance, config: StrategyConfig) -> RunResult:
-    """Adaptive VND: probe every neighborhood with a short capped descent,
-    pick the one that reached the best objective (canonical order breaks
-    ties), continue its descent from the probe result until no move
-    improves, then probe again.  Probe evaluations count like any other."""
-    if config.strategy is not Strategy.ADAPTIVE:
-        raise ValueError("config.strategy must be ADAPTIVE")
-    rng = random.Random(config.seed)
-    counter, trace = EvalCounter(), RunTrace()
-    current = initial_sequence(instance, config, rng)
-    current_obj = _counted_initial(instance, current, counter, trace)
-
-    while True:
-        best_kind: Neighborhood | None = None
-        best_res: DescentResult | None = None
-        for kind in CANONICAL_ORDER:
-            res = descend(instance, current, kind, config, counter, trace,
-                          start_objective=current_obj,
-                          max_candidates=config.probe_budget)
-            if best_res is None or res.objective < best_res.objective:
-                best_kind, best_res = kind, res
-            if res.budget_hit:
-                if best_res.objective < current_obj:
-                    current, current_obj = best_res.sequence, best_res.objective
-                return _finalize(current, current_obj, trace, counter,
-                                 Termination.EVALUATION_BUDGET)
-        if best_res.objective >= current_obj:
-            return _finalize(current, current_obj, trace, counter,
-                             Termination.ALL_NEIGHBORHOODS_EXHAUSTED)
-        current, current_obj = best_res.sequence, best_res.objective
-        res = descend(instance, current, best_kind, config, counter, trace,
-                      start_objective=current_obj)
-        current, current_obj = res.sequence, res.objective
-        if res.budget_hit:
-            return _finalize(current, current_obj, trace, counter,
-                             Termination.EVALUATION_BUDGET)
-
-
-_RUNNERS = {
-    Strategy.FIXED: run_vnd_fixed,
-    Strategy.RANDOM: run_vnd_random,
-    Strategy.ADAPTIVE: run_vnd_adaptive,
-}
+            return best_kind, best._replace(budget_hit=True)
+    return best_kind, best
 
 
 def run(instance: Instance, config: StrategyConfig) -> RunResult:
-    """Run the strategy selected by `config` on `instance`."""
-    return _RUNNERS[config.strategy](instance, config)
+    """Run the strategy selected by `config` on `instance`.
+
+    Each round picks one of the neighborhoods still eligible (kept in
+    canonical order) and descends in it from the incumbent.  `fixed` takes
+    the first, `random` draws one uniformly, and `adaptive` probes all seven
+    and continues from the best probe in its neighborhood.  An improvement
+    makes all seven eligible again; a descent that does not improve rules
+    its neighborhood out.  The run ends when none is left, when adaptive's
+    probes find no improvement, or when the evaluation budget runs out.
+    """
+    rng = random.Random(config.seed)
+    counter, trace = EvalCounter(), RunTrace()
+    current = initial_sequence(instance, config, rng)
+    current_obj = objective_value(instance, current)
+    counter.tick()
+    trace.record_if_improved(counter, current_obj)
+
+    remaining = list(CANONICAL_ORDER)
+    budget_hit = False
+    while remaining and not budget_hit:
+        # Adaptive measures improvement from before its probes, so a
+        # descent that only keeps what its probe found still counts.
+        before = current_obj
+        if config.strategy is Strategy.FIXED:
+            kind = remaining[0]
+        elif config.strategy is Strategy.RANDOM:
+            kind = remaining[rng.randrange(len(remaining))]
+        else:
+            kind, res = _probe(instance, current, current_obj, config,
+                               counter, trace)
+            current, current_obj = res.sequence, res.objective
+            budget_hit = res.budget_hit
+            if budget_hit or current_obj >= before:
+                break
+        res = descend(instance, current, kind, config, counter, trace,
+                      start_objective=current_obj)
+        current, current_obj = res.sequence, res.objective
+        budget_hit = res.budget_hit
+        if current_obj < before:
+            remaining = list(CANONICAL_ORDER)
+        else:
+            remaining.remove(kind)
+
+    trace.final_evaluations = counter.count
+    reason = (Termination.EVALUATION_BUDGET if budget_hit
+              else Termination.ALL_NEIGHBORHOODS_EXHAUSTED)
+    return RunResult(current, current_obj, trace, counter.count, reason)

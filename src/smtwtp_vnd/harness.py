@@ -10,6 +10,8 @@ is informational only; comparisons use evaluation counts.
 import json
 import os
 import time
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +65,11 @@ class ExperimentSpec:
                 raise ValueError(
                     f"instance indices {bad} outside [1, {self.count}]"
                 )
+            duplicates = sorted(
+                i for i, k in Counter(self.instance_indices).items() if k > 1
+            )
+            if duplicates:
+                raise ValueError(f"instance indices {duplicates} repeated")
 
 
 @dataclass
@@ -98,15 +105,11 @@ class CrossoverReport:
         return self.pairs[(first, second)]
 
 
-def _step_value(points: list[tuple[int, int]], at: int) -> float:
-    """Best objective of a trace at evaluation count `at`; +inf before the
-    first recorded point."""
-    value = float("inf")
-    for evals, best in points:
-        if evals > at:
-            break
-        value = best
-    return value
+def _step_value(trace: RunTrace, evals: list[int], at: int) -> float:
+    """Best objective of `trace`, whose evaluation column is `evals`, at
+    evaluation count `at`; +inf before the first recorded point."""
+    i = bisect_right(evals, at)
+    return trace.points[i - 1][1] if i else float("inf")
 
 
 def crossover_report(traces: list[RunTrace], labels: list[str]) -> CrossoverReport:
@@ -125,19 +128,18 @@ def crossover_report(traces: list[RunTrace], labels: list[str]) -> CrossoverRepo
         if not trace.points:
             raise ValueError(f"trace {label!r} is empty")
 
+    columns = [[e for e, _ in trace.points] for trace in traces]
     report = CrossoverReport()
-    for a, trace_a in zip(labels, traces):
-        for b, trace_b in zip(labels, traces):
+    for a, trace_a, evals_a in zip(labels, traces, columns):
+        for b, trace_b, evals_b in zip(labels, traces, columns):
             if a == b:
                 continue
-            breakpoints = sorted(
-                {e for e, _ in trace_a.points} | {e for e, _ in trace_b.points}
-            )
+            breakpoints = sorted(set(evals_a) | set(evals_b))
             switch: int | None = None
             strictly_better = False
             for k in reversed(breakpoints):
-                va = _step_value(trace_a.points, k)
-                vb = _step_value(trace_b.points, k)
+                va = _step_value(trace_a, evals_a, k)
+                vb = _step_value(trace_b, evals_b, k)
                 if va > vb:
                     break
                 if va < vb:
@@ -187,11 +189,11 @@ def read_trace_csv(path: Path) -> RunTrace:
 def load_benchmark(spec: ExperimentSpec) -> BenchmarkSet:
     text = Path(spec.instance_file).read_text()
     benchmark = parse_orlib(text, spec.n, spec.count)
-    if spec.best_known_file is not None:
-        benchmark.best_known = load_best_known(
-            Path(spec.best_known_file).read_text(), spec.count
-        )
-    return benchmark
+    if spec.best_known_file is None:
+        return benchmark
+    return BenchmarkSet(benchmark.instances, load_best_known(
+        Path(spec.best_known_file).read_text(), spec.count
+    ))
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:

@@ -18,7 +18,7 @@ class BenchmarkFormatError(ValueError):
     """Malformed benchmark or best-known file."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchmarkSet:
     """Instances of one benchmark file, all with the same job count, plus an
     optional aligned list of best-known objective values."""

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import smtwtp_vnd
 from smtwtp_vnd.cli import main
 
 TINY_TEXT = "3 1 2  2 1 1  2 4 3"
@@ -77,6 +80,19 @@ def test_cli_out_of_range_index_is_a_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_cli_duplicate_index_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text(TINY_TEXT + "  " + TINY_TEXT)
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "--instances", str(path), "--n", "3", "--count", "2",
+            "--index", "2,1,2", "--out", str(tmp_path / "out"),
+        ])
+    assert excinfo.value.code == 2
+    assert "[2] repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_malformed_index_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(base_args(tmp_path) + ["--index", "1,two"])
@@ -116,11 +132,17 @@ def test_cli_best_known_gap_in_summary(tmp_path):
 
 def test_cli_module_invocation(tmp_path):
     instances = write_instances(tmp_path)
+    # The child imports the package from where this process found it, also
+    # when pytest put it on the path rather than PYTHONPATH.
+    package_root = str(Path(smtwtp_vnd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    ))
     proc = subprocess.run(
         [sys.executable, "-m", "smtwtp_vnd.cli",
          "--instances", str(instances), "--n", "3", "--count", "1",
          "--strategy", "adaptive", "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.csv").exists()

@@ -7,7 +7,6 @@ from smtwtp_vnd import (
     EvalCounter,
     Instance,
     RunTrace,
-    evaluate,
     is_permutation,
     objective_value,
 )
@@ -15,22 +14,17 @@ from smtwtp_vnd import (
 from .conftest import ref_objective, random_instance
 
 
-def test_evaluate_single_job():
+def test_objective_single_job():
     inst = Instance(processing=(5,), weight=(2,), due=(3,))
-    ev = evaluate(inst, (0,), EvalCounter())
-    assert ev.completion == (5,)
-    assert ev.tardiness == (2,)
-    assert ev.objective == 4
+    assert objective_value(inst, (0,)) == 4
 
 
-def test_evaluate_three_jobs(tiny_instance):
-    ev = evaluate(tiny_instance, (1, 2, 0), EvalCounter())
-    assert ev.completion == (6, 1, 3)
-    assert ev.tardiness == (4, 0, 0)
-    assert ev.objective == 8
+def test_objective_three_jobs(tiny_instance):
+    # Completion times 6, 1, 3 for jobs 0, 1, 2: only job 0 is late, by 4.
+    assert objective_value(tiny_instance, (1, 2, 0)) == 8
 
 
-def test_evaluate_identity_order_is_brute_force_optimum(tiny_instance):
+def test_objective_identity_order_is_brute_force_optimum(tiny_instance):
     # Exhaustive check: 5 is attained at (0,1,2) and no permutation beats it.
     values = {
         perm: ref_objective(tiny_instance, perm)
@@ -38,31 +32,13 @@ def test_evaluate_identity_order_is_brute_force_optimum(tiny_instance):
     }
     assert min(values.values()) == 5
     assert values[(0, 1, 2)] == 5
-    ev = evaluate(tiny_instance, (0, 1, 2), EvalCounter())
-    assert ev.objective == 5
+    assert objective_value(tiny_instance, (0, 1, 2)) == 5
 
 
-def test_evaluate_length_mismatch(tiny_instance):
-    with pytest.raises(ValueError, match="length 2"):
-        evaluate(tiny_instance, (0, 1), EvalCounter())
-
-
-def test_evaluate_rejects_non_permutation(tiny_instance):
-    with pytest.raises(ValueError, match="not a permutation"):
-        evaluate(tiny_instance, (0, 1, 1), EvalCounter())
-
-
-def test_evaluate_is_pure(tiny_instance):
-    counter = EvalCounter()
-    first = evaluate(tiny_instance, (2, 0, 1), counter)
-    second = evaluate(tiny_instance, (2, 0, 1), counter)
-    assert first == second
-
-
-def test_counter_counts_every_evaluate_call(tiny_instance):
+def test_counter_counts_every_tick():
     counter = EvalCounter()
     for k in range(1, 26):
-        evaluate(tiny_instance, (0, 1, 2), counter)
+        assert counter.tick() == k
         assert counter.count == k
 
 
@@ -74,26 +50,7 @@ def test_objective_matches_independent_recompute():
         order = list(range(n))
         rng.shuffle(order)
         order = tuple(order)
-        expected = ref_objective(inst, order)
-        assert objective_value(inst, order) == expected
-        assert evaluate(inst, order, EvalCounter()).objective == expected
-
-
-def test_evaluation_fields_are_consistent():
-    rng = random.Random(99)
-    for _ in range(100):
-        n = rng.randint(1, 10)
-        inst = random_instance(rng, n)
-        order = tuple(rng.sample(range(n), n))
-        ev = evaluate(inst, order, EvalCounter())
-        t = 0
-        for j in order:
-            t += inst.processing[j]
-            assert ev.completion[j] == t
-            assert ev.tardiness[j] == max(0, t - inst.due[j])
-        assert ev.objective == sum(
-            inst.weight[j] * ev.tardiness[j] for j in range(n)
-        )
+        assert objective_value(inst, order) == ref_objective(inst, order)
 
 
 @pytest.mark.parametrize("processing,weight,due,message", [
@@ -106,6 +63,18 @@ def test_evaluation_fields_are_consistent():
 def test_instance_invariants(processing, weight, due, message):
     with pytest.raises(ValueError, match=message):
         Instance(processing=processing, weight=weight, due=due)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("processing", 1.5),
+    ("weight", True),
+    ("due", "3"),
+])
+def test_instance_rejects_non_int_job_data(field, value):
+    data = dict(processing=[2, 3], weight=[1, 1], due=[0, 4])
+    data[field][0] = value
+    with pytest.raises(TypeError, match=f"{field} values must be int"):
+        Instance(**data)
 
 
 def test_instance_is_immutable(tiny_instance):

@@ -19,10 +19,8 @@ from smtwtp_vnd import (
     neighborhood_size,
     objective_value,
     run,
-    run_vnd_adaptive,
-    run_vnd_fixed,
-    run_vnd_random,
 )
+from smtwtp_vnd import engine
 from smtwtp_vnd.engine import initial_sequence
 
 from .conftest import random_instance
@@ -88,8 +86,8 @@ def test_descend_result_is_local_optimum_for_its_kind(rule):
         assert certify_local_optimum(inst, res.sequence, [kind])
 
 
-def test_run_vnd_fixed_solves_tiny_instance(tiny_instance):
-    result = run_vnd_fixed(tiny_instance, FIXED_CFG)
+def test_fixed_solves_tiny_instance(tiny_instance):
+    result = run(tiny_instance, FIXED_CFG)
     assert result.best_objective == 5
     assert result.best_sequence == (0, 1, 2)
     assert result.terminated_by is Termination.ALL_NEIGHBORHOODS_EXHAUSTED
@@ -99,12 +97,8 @@ def test_run_vnd_fixed_solves_tiny_instance(tiny_instance):
 
 def test_single_job_instance_has_no_moves():
     inst = Instance(processing=(9,), weight=(4,), due=(1,))
-    for strategy, runner in [
-        (Strategy.FIXED, run_vnd_fixed),
-        (Strategy.RANDOM, run_vnd_random),
-        (Strategy.ADAPTIVE, run_vnd_adaptive),
-    ]:
-        result = runner(inst, StrategyConfig(strategy=strategy))
+    for strategy in Strategy:
+        result = run(inst, StrategyConfig(strategy=strategy))
         assert result.best_sequence == (0,)
         assert result.best_objective == 4 * 8
         assert result.evaluations_total == 1
@@ -118,7 +112,7 @@ def test_identical_seeds_give_identical_runs():
     config = StrategyConfig(
         strategy=Strategy.RANDOM, seed=90125, initial=InitialOrder.RANDOM
     )
-    assert run_vnd_random(inst, config) == run_vnd_random(inst, config)
+    assert run(inst, config) == run(inst, config)
 
 
 def test_run_dispatches_by_strategy(tiny_instance):
@@ -127,13 +121,33 @@ def test_run_dispatches_by_strategy(tiny_instance):
         assert result.best_objective == 5
 
 
-def test_strategy_mismatch_is_rejected(tiny_instance):
-    with pytest.raises(ValueError):
-        run_vnd_fixed(tiny_instance, StrategyConfig(strategy=Strategy.RANDOM))
-    with pytest.raises(ValueError):
-        run_vnd_random(tiny_instance, StrategyConfig(strategy=Strategy.FIXED))
-    with pytest.raises(ValueError):
-        run_vnd_adaptive(tiny_instance, StrategyConfig(strategy=Strategy.FIXED))
+def test_strategy_decides_neighborhood_order(tiny_instance, monkeypatch):
+    # From the global optimum no descent improves, so each strategy's
+    # selection rule shows directly in the order of its descents.
+    calls = []
+    original = engine.descend
+
+    def recording_descend(*args, **kwargs):
+        calls.append((args[2], kwargs.get("max_candidates")))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "descend", recording_descend)
+    canonical = list(CANONICAL_ORDER)
+
+    run(tiny_instance, StrategyConfig(strategy=Strategy.FIXED))
+    assert calls == [(kind, None) for kind in canonical]
+
+    calls.clear()
+    run(tiny_instance, StrategyConfig(strategy=Strategy.RANDOM, seed=8))
+    rng, remaining, drawn = random.Random(8), list(canonical), []
+    while remaining:
+        drawn.append(remaining.pop(rng.randrange(len(remaining))))
+    assert calls == [(kind, None) for kind in drawn]
+
+    calls.clear()
+    run(tiny_instance, StrategyConfig(strategy=Strategy.ADAPTIVE,
+                                      probe_budget=4))
+    assert calls == [(kind, 4) for kind in canonical]
 
 
 def test_config_validation():
@@ -178,7 +192,7 @@ def test_random_strategy_on_global_optimum_stops_after_one_sweep(tiny_instance):
     # (0,1,2) is the global optimum: every neighborhood gets ruled out once,
     # best-improvement charges exactly the neighborhood size for each.
     config = StrategyConfig(strategy=Strategy.RANDOM, seed=3)
-    result = run_vnd_random(tiny_instance, config)
+    result = run(tiny_instance, config)
     expected = 1 + sum(neighborhood_size(kind, 3) for kind in Neighborhood)
     assert result.evaluations_total == expected
     assert result.trace.points == [(1, 5)]
@@ -188,7 +202,7 @@ def test_random_strategy_on_global_optimum_stops_after_one_sweep(tiny_instance):
 def test_adaptive_probe_costs_on_global_optimum(tiny_instance):
     # All seven probes fail, each charging min(probe_budget, size).
     config = StrategyConfig(strategy=Strategy.ADAPTIVE, probe_budget=100)
-    result = run_vnd_adaptive(tiny_instance, config)
+    result = run(tiny_instance, config)
     probe_cost = sum(
         min(100, neighborhood_size(kind, 3)) for kind in Neighborhood
     )
@@ -233,10 +247,40 @@ def test_adaptive_matches_reference_orchestration():
             inst = random_instance(rng, rng.randint(3, 7))
             expected_obj, expected_evals, expected_points = \
                 reference_adaptive(inst, config)
-            result = run_vnd_adaptive(inst, config)
+            result = run(inst, config)
             assert result.best_objective == expected_obj
             assert result.evaluations_total == expected_evals
             assert result.trace.points == expected_points
+
+
+def test_fixed_matches_classical_vnd():
+    # Classical VND written as nested loops: walk the neighborhoods in
+    # canonical order and start over from the first after any improvement.
+    def reference_fixed(inst, config):
+        counter, trace = EvalCounter(), RunTrace()
+        current = tuple(range(inst.n))
+        current_obj = objective_value(inst, current)
+        counter.tick()
+        trace.record_if_improved(counter, current_obj)
+        improved = True
+        while improved:
+            for kind in CANONICAL_ORDER:
+                res = descend(inst, current, kind, config, counter, trace,
+                              start_objective=current_obj)
+                improved = res.objective < current_obj
+                current, current_obj = res.sequence, res.objective
+                if improved:
+                    break
+        return current, counter.count, trace.points
+
+    rng = random.Random(2026)
+    for rule in DescentRule:
+        config = StrategyConfig(strategy=Strategy.FIXED, descent_rule=rule)
+        for _ in range(10):
+            inst = random_instance(rng, rng.randint(3, 9))
+            result = run(inst, config)
+            assert (result.best_sequence, result.evaluations_total,
+                    result.trace.points) == reference_fixed(inst, config)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -303,7 +347,7 @@ def test_budget_stop_keeps_best_candidate_seen():
             strategy=Strategy.FIXED, max_evaluations=rng.randint(2, 40),
             seed=trial,
         )
-        result = run_vnd_fixed(inst, config)
+        result = run(inst, config)
         assert result.best_objective == result.trace.points[-1][1]
         assert result.best_objective == objective_value(
             inst, result.best_sequence

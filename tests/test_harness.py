@@ -230,6 +230,11 @@ def test_experiment_spec_validates_indices(tmp_path):
         make_spec(tmp_path, instance_indices=(126,))
 
 
+def test_experiment_spec_rejects_duplicate_indices(tmp_path):
+    with pytest.raises(ValueError, match=r"indices \[2, 3\] repeated"):
+        make_spec(tmp_path, count=4, instance_indices=(3, 2, 1, 2, 3))
+
+
 def test_experiment_spec_requires_strategies(tmp_path):
     with pytest.raises(ValueError, match="at least one strategy"):
         make_spec(tmp_path, strategies=())

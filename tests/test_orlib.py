@@ -93,6 +93,12 @@ def test_benchmark_set_invariants():
         BenchmarkSet(instances=[a], best_known=[1, 2])
 
 
+def test_benchmark_set_is_immutable():
+    benchmark = BenchmarkSet(instances=[Instance((1,), (1,), (0,))])
+    with pytest.raises(AttributeError):
+        benchmark.best_known = [0]
+
+
 def test_generate_is_deterministic():
     first = generate_instance(n=20, seed=42, rdd=0.6, tf=0.4)
     second = generate_instance(n=20, seed=42, rdd=0.6, tf=0.4)
