@@ -25,7 +25,6 @@ from .engine import (
     run,
 )
 from .harness import (
-    CrossoverReport,
     ExperimentOutput,
     ExperimentSpec,
     crossover_report,
@@ -59,7 +58,6 @@ __all__ = [
     "BenchmarkFormatError",
     "BenchmarkSet",
     "CANONICAL_ORDER",
-    "CrossoverReport",
     "DescentResult",
     "DescentRule",
     "EvalCounter",

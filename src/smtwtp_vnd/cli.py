@@ -11,7 +11,6 @@ from .harness import (
     format_summary_table,
     run_experiment,
 )
-from .orlib import BenchmarkFormatError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,9 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--index", default="all",
                         help="comma-separated 1-based instance indices, or 'all'")
     parser.add_argument("--strategy", default="all",
-                        choices=["random", "fixed", "adaptive", "all"],
+                        choices=[s.value for s in Strategy] + ["all"],
                         help="neighborhood selection strategy")
-    parser.add_argument("--descent", default="best", choices=["best", "first"],
+    parser.add_argument("--descent", default="best",
+                        choices=[r.value for r in DescentRule],
                         help="descent rule within a neighborhood")
     parser.add_argument("--probe-budget", type=int, default=100,
                         help="candidate evaluations per neighborhood in an "
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-evals", type=int, default=None,
                         help="stop a run after this many objective evaluations")
     parser.add_argument("--initial", default="as-given",
-                        choices=["as-given", "edd", "random"],
+                        choices=[o.value for o in InitialOrder],
                         help="initial sequence construction")
     parser.add_argument("--best-known", type=Path, default=None,
                         help="file with one best-known objective per instance")
@@ -75,15 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.n < 1 or args.count < 1:
-        parser.error("--n and --count must be >= 1")
-    if args.replications < 1:
-        parser.error("--replications must be >= 1")
-    if args.probe_budget < 1:
-        parser.error("--probe-budget must be >= 1")
-    if args.max_evals is not None and args.max_evals < 1:
-        parser.error("--max-evals must be >= 1")
-
     strategies = (
         ALL_STRATEGIES if args.strategy == "all" else (Strategy(args.strategy),)
     )
@@ -96,8 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             instance_indices=_parse_indices(args.index, parser),
             strategies=strategies,
             replications=args.replications,
-            descent_rule=(DescentRule.BEST_IMPROVEMENT if args.descent == "best"
-                          else DescentRule.FIRST_IMPROVEMENT),
+            descent_rule=DescentRule(args.descent),
             probe_budget=args.probe_budget,
             seed=args.seed,
             nested=args.nested == "on",
@@ -105,12 +95,12 @@ def main(argv: list[str] | None = None) -> int:
             initial=InitialOrder(args.initial),
             best_known_file=args.best_known,
         )
-    except ValueError as exc:  # out-of-range or repeated --index
+    except ValueError as exc:  # any value out of range, repeated --index
         parser.error(str(exc))
 
     try:
         output = run_experiment(spec)
-    except (OSError, BenchmarkFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # BenchmarkFormatError included
         print(f"smtwtp-vnd: error: {exc}", file=sys.stderr)
         return 1
 

@@ -79,7 +79,6 @@ class RunTrace:
     points, strictly increasing in evaluations, non-increasing in objective."""
 
     points: list[tuple[int, int]] = field(default_factory=list)
-    final_evaluations: int = 0
 
     def record_if_improved(self, counter: EvalCounter, objective: int) -> None:
         """Append a point at the counter's current count when `objective`

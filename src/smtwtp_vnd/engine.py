@@ -229,7 +229,6 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
         else:
             remaining.remove(kind)
 
-    trace.final_evaluations = counter.count
     reason = (Termination.EVALUATION_BUDGET if budget_hit
               else Termination.ALL_NEIGHBORHOODS_EXHAUSTED)
     return RunResult(current, current_obj, trace, counter.count, reason)

@@ -1,6 +1,9 @@
 """Experiment driver: run strategies over benchmark instances and write
 trace CSVs, a summary CSV, and crossover reports.
 
+Each cell's trace is written as soon as it has run, so a crash keeps the
+finished ones; the other files are rendered from the results at the end.
+
 Output files are deterministic for a given (spec, seed): anything
 time-dependent (timestamps, wall-clock durations) is confined to a separate
 metadata file so reruns reproduce the data files byte for byte.  Wall time
@@ -12,7 +15,7 @@ import os
 import time
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,8 +58,8 @@ class ExperimentSpec:
     best_known_file: Path | None = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if min(self.n, self.count, self.replications) < 1:
+            raise ValueError("n, count and replications must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         if self.instance_indices is not None:
@@ -70,6 +73,14 @@ class ExperimentSpec:
             )
             if duplicates:
                 raise ValueError(f"instance indices {duplicates} repeated")
+        self.config(self.strategies[0], self.seed)  # bad run settings fail here
+
+    def config(self, strategy: Strategy, seed: int) -> StrategyConfig:
+        """The configuration of this experiment's (strategy, seed) runs."""
+        return StrategyConfig(
+            strategy, descent_rule=self.descent_rule,
+            probe_budget=self.probe_budget, seed=seed, nested=self.nested,
+            max_evaluations=self.max_evaluations, initial=self.initial)
 
 
 @dataclass
@@ -93,18 +104,6 @@ class ExperimentOutput:
         return written
 
 
-@dataclass
-class CrossoverReport:
-    """For every ordered pair of run labels, the evaluation count from which
-    the first run's best objective is never worse than the second's (and
-    strictly better somewhere), or None when no such switch exists."""
-
-    pairs: dict[tuple[str, str], int | None] = field(default_factory=dict)
-
-    def switch_point(self, first: str, second: str) -> int | None:
-        return self.pairs[(first, second)]
-
-
 def _step_value(trace: RunTrace, evals: list[int], at: int) -> float:
     """Best objective of `trace`, whose evaluation column is `evals`, at
     evaluation count `at`; +inf before the first recorded point."""
@@ -112,13 +111,15 @@ def _step_value(trace: RunTrace, evals: list[int], at: int) -> float:
     return trace.points[i - 1][1] if i else float("inf")
 
 
-def crossover_report(traces: list[RunTrace], labels: list[str]) -> CrossoverReport:
+def crossover_report(traces: list[RunTrace],
+                     labels: list[str]) -> dict[tuple[str, str], int | None]:
     """Pairwise step-function comparison of anytime traces.
 
-    Each trace extends its last best objective to infinity.  For the ordered
-    pair (a, b) the report holds the smallest breakpoint k such that a is
-    never worse than b at any breakpoint >= k and strictly better at one of
-    them; identical tails yield None.
+    Each trace extends its last best objective to infinity.  For every
+    ordered pair (a, b) of labels, in label order, the result maps (a, b) to
+    the smallest breakpoint k such that a is never worse than b at any
+    breakpoint >= k and strictly better at one of them; identical tails
+    yield None.
     """
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
@@ -129,7 +130,7 @@ def crossover_report(traces: list[RunTrace], labels: list[str]) -> CrossoverRepo
             raise ValueError(f"trace {label!r} is empty")
 
     columns = [[e for e, _ in trace.points] for trace in traces]
-    report = CrossoverReport()
+    report = {}
     for a, trace_a, evals_a in zip(labels, traces, columns):
         for b, trace_b, evals_b in zip(labels, traces, columns):
             if a == b:
@@ -146,7 +147,7 @@ def crossover_report(traces: list[RunTrace], labels: list[str]) -> CrossoverRepo
                     strictly_better = True
                 if strictly_better:
                     switch = k
-            report.pairs[(a, b)] = switch
+            report[a, b] = switch
     return report
 
 
@@ -161,16 +162,15 @@ def format_gap(final_objective: int, best_known: int | None) -> str:
     return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
 
 
-def _write_atomic(path: Path, content: str) -> None:
+def _write_lines(path: Path, lines: list[str]) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content)
+    tmp.write_text("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
 def write_trace_csv(path: Path, trace: RunTrace) -> None:
-    lines = [TRACE_HEADER]
-    lines.extend(f"{evals},{best}" for evals, best in trace.points)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_lines(path, [TRACE_HEADER]
+                 + [f"{evals},{best}" for evals, best in trace.points])
 
 
 def read_trace_csv(path: Path) -> RunTrace:
@@ -181,9 +181,7 @@ def read_trace_csv(path: Path) -> RunTrace:
     for line in lines[1:]:
         evals, best = line.split(",")
         points.append((int(evals), int(best)))
-    trace = RunTrace(points=points)
-    trace.final_evaluations = points[-1][0] if points else 0
-    return trace
+    return RunTrace(points=points)
 
 
 def load_benchmark(spec: ExperimentSpec) -> BenchmarkSet:
@@ -198,96 +196,74 @@ def load_benchmark(spec: ExperimentSpec) -> BenchmarkSet:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     """Run every (instance, strategy, replication) cell of `spec` and write
-    one trace CSV per cell plus summary, crossover, and metadata files."""
+    one trace CSV per cell plus summary, crossover, and metadata files.
+
+    Raises ValueError, before any cell runs, when `spec.out_dir` holds a
+    trace or crossover file that this run would not overwrite."""
     benchmark = load_benchmark(spec)
-    indices = spec.instance_indices or tuple(range(1, spec.count + 1))
-    strategies = tuple(s for s in ALL_STRATEGIES if s in spec.strategies)
-
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    trace_files: dict[tuple[int, str, int], Path] = {}
-    results: dict[tuple[int, str, int], RunResult] = {}
-    summary_lines = [SUMMARY_HEADER]
-    crossover_lines = [CROSSOVER_HEADER]
-    metadata_cells = []
+    indices = spec.instance_indices or range(1, spec.count + 1)
+    seeds = range(spec.seed, spec.seed + spec.replications)
+    strategies = [s.value for s in ALL_STRATEGIES if s in spec.strategies]
     emit_crossover = len(strategies) >= 2
 
-    for idx in indices:
-        instance = benchmark.instances[idx - 1]
-        best_known = (
-            benchmark.best_known[idx - 1]
-            if benchmark.best_known is not None
-            else None
-        )
-        for rep in range(spec.replications):
-            seed = spec.seed + rep
-            rep_traces = []
-            for strategy in strategies:
-                config = StrategyConfig(
-                    strategy=strategy,
-                    descent_rule=spec.descent_rule,
-                    probe_budget=spec.probe_budget,
-                    seed=seed,
-                    nested=spec.nested,
-                    max_evaluations=spec.max_evaluations,
-                    initial=spec.initial,
-                )
-                started = time.perf_counter()
-                result = run(instance, config)
-                wall = time.perf_counter() - started
+    out_dir = Path(spec.out_dir)
+    trace_files = {
+        (idx, label, seed): out_dir / f"trace_i{idx:03d}_{label}_s{seed}.csv"
+        for idx in indices
+        for seed in seeds
+        for label in strategies
+    }
+    kept = {p.name for p in trace_files.values()} | (
+        {"crossover.csv"} if emit_crossover else set())
+    stale = sorted(p.name for pattern in ("trace_*.csv", "crossover.csv")
+                   for p in out_dir.glob(pattern) if p.name not in kept)
+    if stale:
+        raise ValueError(f"{out_dir} holds output of another run that this "
+                         f"one would not overwrite: {', '.join(stale[:3])}")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-                key = (idx, strategy.value, seed)
-                path = out_dir / f"trace_i{idx:03d}_{strategy.value}_s{seed}.csv"
-                write_trace_csv(path, result.trace)
-                trace_files[key] = path
-                results[key] = result
-                rep_traces.append((strategy.value, result.trace))
-                summary_lines.append(
-                    f"{idx},{strategy.value},{seed},{result.best_objective},"
-                    f"{result.evaluations_total},{result.terminated_by.value},"
-                    f"{format_gap(result.best_objective, best_known)}"
-                )
-                metadata_cells.append({
-                    "instance": idx,
-                    "strategy": strategy.value,
-                    "seed": seed,
-                    "wall_seconds": wall,
-                })
-            if emit_crossover:
-                labels = [label for label, _ in rep_traces]
-                report = crossover_report(
-                    [trace for _, trace in rep_traces], labels
-                )
-                for (a, b), switch in sorted(
-                    report.pairs.items(), key=lambda kv: (labels.index(kv[0][0]),
-                                                          labels.index(kv[0][1]))
-                ):
-                    value = "none" if switch is None else str(switch)
-                    crossover_lines.append(f"{idx},{seed},{a},{b},{value}")
+    results: dict[tuple[int, str, int], RunResult] = {}
+    wall_seconds = {}
+    for key, path in trace_files.items():
+        idx, label, seed = key
+        started = time.perf_counter()
+        results[key] = run(benchmark.instances[idx - 1],
+                           spec.config(Strategy(label), seed))
+        wall_seconds[key] = time.perf_counter() - started
+        write_trace_csv(path, results[key].trace)
 
+    best_known = benchmark.best_known or [None] * spec.count
     summary_file = out_dir / "summary.csv"
-    _write_atomic(summary_file, "\n".join(summary_lines) + "\n")
+    _write_lines(summary_file, [SUMMARY_HEADER] + [
+        f"{idx},{label},{seed},{r.best_objective},{r.evaluations_total},"
+        f"{r.terminated_by.value},"
+        f"{format_gap(r.best_objective, best_known[idx - 1])}"
+        for (idx, label, seed), r in results.items()
+    ])
 
     crossover_file = None
     if emit_crossover:
+        lines = [CROSSOVER_HEADER]
+        for idx in indices:
+            for seed in seeds:
+                report = crossover_report(
+                    [results[idx, label, seed].trace for label in strategies],
+                    strategies)
+                lines.extend(f"{idx},{seed},{a},{b},{'none' if k is None else k}"
+                             for (a, b), k in report.items())
         crossover_file = out_dir / "crossover.csv"
-        _write_atomic(crossover_file, "\n".join(crossover_lines) + "\n")
+        _write_lines(crossover_file, lines)
 
     metadata_file = out_dir / "metadata.json"
-    _write_atomic(metadata_file, json.dumps({
+    _write_lines(metadata_file, [json.dumps({
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "cells": metadata_cells,
-    }, indent=2) + "\n")
+        "cells": [{"instance": idx, "strategy": label, "seed": seed,
+                   "wall_seconds": wall}
+                  for (idx, label, seed), wall in wall_seconds.items()],
+    }, indent=2)])
 
-    return ExperimentOutput(
-        out_dir=out_dir,
-        trace_files=trace_files,
-        summary_file=summary_file,
-        crossover_file=crossover_file,
-        metadata_file=metadata_file,
-        results=results,
-    )
+    return ExperimentOutput(out_dir, trace_files, summary_file, crossover_file,
+                            metadata_file, results)
 
 
 def format_summary_table(summary_file: Path) -> str:

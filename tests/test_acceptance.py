@@ -194,12 +194,12 @@ def test_criterion_6_crossover_structure(benchmark_runs):
     labels = [s.value for s in Strategy]
     traces = [benchmark_runs.results[label].trace for label in labels]
     result = crossover_report(traces, labels)
-    assert set(result.pairs) == {
+    assert set(result) == {
         (a, b) for a in labels for b in labels if a != b
     }
     axes = {label: {e for e, _ in trace.points}
             for label, trace in zip(labels, traces)}
-    for (a, b), switch in result.pairs.items():
+    for (a, b), switch in result.items():
         if switch is not None:
             assert switch in axes[a] | axes[b], \
                 f"switch {switch} for ({a},{b}) lies on neither trace axis"

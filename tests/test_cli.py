@@ -93,6 +93,27 @@ def test_cli_duplicate_index_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", [
+    "--n", "--count", "--replications", "--probe-budget", "--max-evals",
+])
+def test_cli_zero_is_a_usage_error(tmp_path, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(base_args(tmp_path) + [flag, "0"])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_output_of_another_run(tmp_path, capsys):
+    assert main(base_args(tmp_path)) == 0
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(base_args(tmp_path) + ["--strategy", "fixed"]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "crossover.csv" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_cli_malformed_index_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(base_args(tmp_path) + ["--index", "1,two"])

@@ -49,24 +49,24 @@ def test_crossover_switch_point():
     a = trace([(1, 100), (10, 50)])
     b = trace([(1, 90), (20, 60)])
     report = crossover_report([a, b], ["a", "b"])
-    assert report.switch_point("a", "b") == 10
-    assert report.switch_point("b", "a") is None
+    assert report["a", "b"] == 10
+    assert report["b", "a"] is None
 
 
 def test_crossover_identical_traces_have_no_switch():
     a = trace([(1, 100), (10, 50)])
     b = trace([(1, 100), (10, 50)])
     report = crossover_report([a, b], ["a", "b"])
-    assert report.switch_point("a", "b") is None
-    assert report.switch_point("b", "a") is None
+    assert report["a", "b"] is None
+    assert report["b", "a"] is None
 
 
 def test_crossover_single_point_traces():
     report = crossover_report(
         [trace([(1, 5)]), trace([(1, 7)])], ["fast", "slow"]
     )
-    assert report.switch_point("fast", "slow") == 1
-    assert report.switch_point("slow", "fast") is None
+    assert report["fast", "slow"] == 1
+    assert report["slow", "fast"] is None
 
 
 def test_crossover_switch_points_lie_on_a_trace_axis():
@@ -74,7 +74,7 @@ def test_crossover_switch_points_lie_on_a_trace_axis():
     b = trace([(3, 40), (15, 30)])
     report = crossover_report([a, b], ["a", "b"])
     axes = {1, 90} | {3, 15}
-    for point in report.pairs.values():
+    for point in report.values():
         assert point is None or point in axes
 
 
@@ -90,10 +90,10 @@ def test_crossover_three_way():
     b = trace([(1, 80), (9, 70)])
     c = trace([(2, 20)])
     report = crossover_report([a, b, c], ["a", "b", "c"])
-    assert report.switch_point("a", "b") == 5
-    assert report.switch_point("c", "b") == 2
-    assert report.switch_point("c", "a") == 2
-    assert report.switch_point("a", "c") is None
+    assert report["a", "b"] == 5
+    assert report["c", "b"] == 2
+    assert report["c", "a"] == 2
+    assert report["a", "c"] is None
 
 
 # --- gap formatting ---------------------------------------------------------
@@ -211,6 +211,37 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
     assert out_a.crossover_file.read_bytes() == out_b.crossover_file.read_bytes()
     for key, path in out_a.trace_files.items():
         assert path.read_bytes() == out_b.trace_files[key].read_bytes()
+
+
+def csv_bytes(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+
+
+def test_experiment_rerun_into_same_directory(tmp_path):
+    spec = make_spec(tmp_path, seed=9)
+    first = csv_bytes(run_experiment(spec).out_dir)
+    assert csv_bytes(run_experiment(spec).out_dir) == first
+
+
+@pytest.mark.parametrize("first,second,named", [
+    ({"instance_indices": (1,)}, {"instance_indices": (2,)},
+     "trace_i001_adaptive_s0.csv, trace_i001_fixed_s0.csv"),
+    ({}, {"strategies": (Strategy.FIXED,)}, "crossover.csv"),
+    ({"replications": 2}, {}, "trace_i001_adaptive_s1.csv"),
+])
+def test_experiment_refuses_output_of_another_run(tmp_path, first, second,
+                                                  named):
+    instances = tmp_path / "two.txt"
+    instances.write_text(TINY_TEXT + "  " + TINY_TEXT)
+    out_dir = run_experiment(
+        make_spec(tmp_path, instance_file=instances, count=2, **first)
+    ).out_dir
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    with pytest.raises(ValueError, match=f"would not overwrite: {named}"):
+        run_experiment(
+            make_spec(tmp_path, instance_file=instances, count=2, **second)
+        )
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_experiment_metadata_holds_wall_times(tmp_path):
