@@ -63,12 +63,9 @@ def _parse_indices(arg: str,
     if arg.strip().lower() == "all":
         return None
     try:
-        indices = tuple(int(part) for part in arg.split(",") if part.strip())
+        return tuple(int(part) for part in arg.split(",") if part.strip())
     except ValueError:
         parser.error(f"--index must be 'all' or comma-separated integers, got {arg!r}")
-    if not indices:
-        parser.error("--index list is empty")
-    return indices
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             initial=InitialOrder(args.initial),
             best_known_file=args.best_known,
         )
-    except ValueError as exc:  # any value out of range, repeated --index
+    except ValueError as exc:  # any value out of range, repeated or empty --index
         parser.error(str(exc))
 
     try:

@@ -95,10 +95,6 @@ class RunTrace:
                 )
         self.points.append((counter.count, objective))
 
-    @property
-    def best_objective(self) -> int | None:
-        return self.points[-1][1] if self.points else None
-
 
 def is_permutation(order: Sequence, n: int) -> bool:
     """True iff `order` contains each of 0..n-1 exactly once."""

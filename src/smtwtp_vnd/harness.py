@@ -63,6 +63,8 @@ class ExperimentSpec:
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         if self.instance_indices is not None:
+            if not self.instance_indices:
+                raise ValueError("instance_indices is empty (None selects all)")
             bad = [i for i in self.instance_indices if not 1 <= i <= self.count]
             if bad:
                 raise ValueError(
@@ -201,7 +203,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     Raises ValueError, before any cell runs, when `spec.out_dir` holds a
     trace or crossover file that this run would not overwrite."""
     benchmark = load_benchmark(spec)
-    indices = spec.instance_indices or range(1, spec.count + 1)
+    indices = (range(1, spec.count + 1) if spec.instance_indices is None
+               else spec.instance_indices)
     seeds = range(spec.seed, spec.seed + spec.replications)
     strategies = [s.value for s in ALL_STRATEGIES if s in spec.strategies]
     emit_crossover = len(strategies) >= 2

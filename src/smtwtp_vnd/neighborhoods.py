@@ -1,14 +1,14 @@
 """The seven permutation move operators and their enumeration.
 
-Operators act on positions in the sequence, not on job identities:
+Operators act on positions in the sequence, not on job identities.  They
+come in three families, and `Move(kind, i, j)` means the same within each:
 
-* APEX        -- exchange of two adjacent positions.
-* BR4/BR5/BR6 -- reversal of a block of 4/5/6 consecutive positions.
-* EX\\APEX    -- exchange of two non-adjacent positions.
-* FSH\\APEX   -- remove a job and reinsert it at least two positions later
-                 (jobs in between shift one position forward).
-* BSH\\APEX   -- remove a job and reinsert it at least two positions earlier
-                 (jobs in between shift one position back).
+* reversal -- reverse positions i..j: APEX (a block of 2, which exchanges
+              two adjacent positions) and BR4/BR5/BR6 (blocks of 4/5/6).
+* exchange -- swap positions i < j: EX\\APEX, with j >= i + 2.
+* shift    -- move the job at position i to position j, the jobs in between
+              moving one place: FSH\\APEX (j >= i + 2, a later position)
+              and BSH\\APEX (j <= i - 2, an earlier one).
 
 With nested mode on, the adjacent exclusion of EX/FSH/BSH is abolished and
 those three operators contain APEX as a special case.
@@ -35,19 +35,21 @@ class Neighborhood(Enum):
 
 CANONICAL_ORDER: tuple[Neighborhood, ...] = tuple(Neighborhood)
 
-_BLOCK_LENGTH = {Neighborhood.BR4: 4, Neighborhood.BR5: 5, Neighborhood.BR6: 6}
+_BLOCK_LENGTH = {Neighborhood.APEX: 2, Neighborhood.BR4: 4,
+                 Neighborhood.BR5: 5, Neighborhood.BR6: 6}
 
 
 class Move(NamedTuple):
-    """One move: operator kind plus the position indices that determine it.
+    """One move: operator kind plus the two positions that determine it.
 
-    `j` is None for block reversals, which are fully determined by `i`;
-    APEX stores j = i + 1.
+    A reversal reverses positions i..j (so j = i + block length - 1), an
+    exchange swaps positions i and j, and a shift moves the job at position
+    i to position j.
     """
 
     kind: Neighborhood
     i: int
-    j: int | None
+    j: int
 
 
 class SizeCounts(NamedTuple):
@@ -75,11 +77,9 @@ def enumerate_moves(
     minimum size."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind is Neighborhood.APEX:
-        return tuple(Move(kind, i, i + 1) for i in range(n - 1))
-    if kind in _BLOCK_LENGTH:
-        k = _BLOCK_LENGTH[kind]
-        return tuple(Move(kind, i, None) for i in range(n - k + 1))
+    k = _BLOCK_LENGTH.get(kind)
+    if k is not None:
+        return tuple(Move(kind, i, i + k - 1) for i in range(n - k + 1))
     gap = 1 if nested else 2
     if kind in (Neighborhood.EX_NO_APEX, Neighborhood.FSH_NO_APEX):
         return tuple(
@@ -103,21 +103,14 @@ def neighborhood_size_counts(
     """Closed-form sizes of `kind` for sequences of length n, clamped at 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind is Neighborhood.APEX:
-        size = max(0, n - 1)
+    k = _BLOCK_LENGTH.get(kind)
+    if k is not None:
+        size = max(0, n - k + 1)
         return SizeCounts(size, size)
-    if kind in _BLOCK_LENGTH:
-        size = max(0, n - _BLOCK_LENGTH[kind] + 1)
-        return SizeCounts(size, size)
+    # EX/FSH/BSH: one move per position pair, adjacent pairs only if nested.
+    size = n * (n - 1) // 2 if nested else (n - 1) * (n - 2) // 2
     if kind is Neighborhood.EX_NO_APEX:
-        if nested:
-            return SizeCounts(n * (n - 1) // 2, n * (n - 1))
-        return SizeCounts((n - 1) * (n - 2) // 2, n * (n - 3) + 2 if n >= 2 else 0)
-    # FSH/BSH: a shift (i, j) is already directed, so both counts coincide.
-    if nested:
-        size = n * (n - 1) // 2
-    else:
-        size = (n - 1) * (n - 2) // 2
+        return SizeCounts(size, 2 * size)
     return SizeCounts(size, size)
 
 
@@ -129,34 +122,24 @@ def apply_move(order: Sequence, move: Move) -> Sequence:
     """
     n = len(order)
     kind, i, j = move
-    if kind is Neighborhood.APEX:
-        if not 0 <= i <= n - 2:
-            raise InvalidMoveError(f"APEX position {i} out of range for n={n}")
-        lst = list(order)
-        lst[i], lst[i + 1] = lst[i + 1], lst[i]
-        return tuple(lst)
-    if kind in _BLOCK_LENGTH:
-        k = _BLOCK_LENGTH[kind]
-        if not (0 <= i and i + k <= n):
-            raise InvalidMoveError(
-                f"{kind.name} block at {i} out of range for n={n}"
-            )
-        return order[:i] + tuple(reversed(order[i:i + k])) + order[i + k:]
-    if kind is Neighborhood.EX_NO_APEX:
-        if j is None or not 0 <= i < j < n:
-            raise InvalidMoveError(f"EX positions ({i}, {j}) out of range for n={n}")
-        lst = list(order)
-        lst[i], lst[j] = lst[j], lst[i]
-        return tuple(lst)
-    if kind is Neighborhood.FSH_NO_APEX:
-        if j is None or not 0 <= i < j < n:
-            raise InvalidMoveError(f"FSH positions ({i}, {j}) out of range for n={n}")
+    k = _BLOCK_LENGTH.get(kind)
+    if k is not None:
+        valid = 0 <= i and j == i + k - 1 < n
+    elif kind is Neighborhood.EX_NO_APEX or kind is Neighborhood.FSH_NO_APEX:
+        valid = 0 <= i < j < n
     elif kind is Neighborhood.BSH_NO_APEX:
-        if j is None or not 0 <= j < i < n:
-            raise InvalidMoveError(f"BSH positions ({i}, {j}) out of range for n={n}")
+        valid = 0 <= j < i < n
     else:
         raise InvalidMoveError(f"unknown neighborhood kind: {kind!r}")
+    if not valid:
+        raise InvalidMoveError(
+            f"{kind.name} positions ({i}, {j}) out of range for n={n}"
+        )
+    if k is not None:
+        return order[:i] + order[i:j + 1][::-1] + order[j + 1:]
     lst = list(order)
-    job = lst.pop(i)
-    lst.insert(j, job)
+    if kind is Neighborhood.EX_NO_APEX:
+        lst[i], lst[j] = lst[j], lst[i]
+    else:
+        lst.insert(j, lst.pop(i))
     return tuple(lst)

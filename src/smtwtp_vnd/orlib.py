@@ -37,6 +37,18 @@ class BenchmarkSet:
             )
 
 
+def _parse_integers(tokens: list[str]) -> list[int]:
+    """Each token as an int.  A token must be an optional `-` followed by
+    ASCII digits: `int()` alone would also take `1_0` or non-ASCII digits."""
+    values = []
+    for pos, tok in enumerate(tokens, start=1):
+        digits = tok[1:] if tok[:1] == "-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise BenchmarkFormatError(f"token {pos}: {tok!r} is not an integer")
+        values.append(int(tok))
+    return values
+
+
 def parse_orlib(text: str, n: int, count: int) -> BenchmarkSet:
     """Parse `count` instances of `n` jobs each from benchmark text.
 
@@ -54,14 +66,7 @@ def parse_orlib(text: str, n: int, count: int) -> BenchmarkSet:
             f"{kind} file: expected {expected} tokens for {count} instances "
             f"of {n} jobs, found {len(tokens)} (file ends at token {len(tokens)})"
         )
-    values = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise BenchmarkFormatError(
-                f"token {pos}: {tok!r} is not an integer"
-            ) from None
+    values = _parse_integers(tokens)
     instances = []
     for k in range(count):
         base = k * 3 * n
@@ -94,19 +99,12 @@ def load_best_known(text: str, count: int) -> list[int]:
         raise BenchmarkFormatError(
             f"expected {count} best-known values, found {len(tokens)}"
         )
-    values = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            value = int(tok)
-        except ValueError:
-            raise BenchmarkFormatError(
-                f"token {pos}: {tok!r} is not an integer"
-            ) from None
+    values = _parse_integers(tokens)
+    for pos, value in enumerate(values, start=1):
         if value < 0:
             raise BenchmarkFormatError(
                 f"token {pos}: best-known value {value} is negative"
             )
-        values.append(value)
     return values
 
 

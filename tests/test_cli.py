@@ -115,9 +115,10 @@ def test_cli_refuses_output_of_another_run(tmp_path, capsys):
 
 
 def test_cli_malformed_index_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(base_args(tmp_path) + ["--index", "1,two"])
-    assert excinfo.value.code == 2
+    for arg in ("1,two", ","):
+        with pytest.raises(SystemExit) as excinfo:
+            main(base_args(tmp_path) + ["--index", arg])
+        assert excinfo.value.code == 2
 
 
 def test_cli_unparseable_file_fails_with_diagnostic(tmp_path, capsys):

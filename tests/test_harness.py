@@ -259,6 +259,8 @@ def test_experiment_metadata_holds_wall_times(tmp_path):
 def test_experiment_spec_validates_indices(tmp_path):
     with pytest.raises(ValueError, match="outside"):
         make_spec(tmp_path, instance_indices=(126,))
+    with pytest.raises(ValueError, match="empty"):
+        make_spec(tmp_path, instance_indices=())
 
 
 def test_experiment_spec_rejects_duplicate_indices(tmp_path):

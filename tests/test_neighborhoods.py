@@ -59,9 +59,11 @@ def test_ex_ordered_pair_count():
 def test_closed_forms_match_enumeration(kind, n, nested):
     moves = enumerate_moves(kind, n, nested)
     assert len(moves) == neighborhood_size(kind, n, nested)
+    ordered = neighborhood_size_counts(kind, n, nested).ordered
+    assert ordered == (2 if kind is EX else 1) * len(moves)
     assert len(set(moves)) == len(moves)
     # deterministic ascending (i, j) scan order
-    keys = [(m.i, -1 if m.j is None else m.j) for m in moves]
+    keys = [(m.i, m.j) for m in moves]
     assert keys == sorted(keys)
 
 
@@ -71,7 +73,7 @@ def test_br6_empty_below_minimum_size():
 
 
 def test_apply_block_reversal():
-    assert apply_move((1, 2, 3, 4, 5), Move(BR4, 0, None)) == (4, 3, 2, 1, 5)
+    assert apply_move((1, 2, 3, 4, 5), Move(BR4, 0, 3)) == (4, 3, 2, 1, 5)
 
 
 def test_apply_forward_shift():
@@ -94,16 +96,50 @@ def test_apply_leaves_input_unchanged():
 
 @pytest.mark.parametrize("kind,move", [
     (APEX, Move(APEX, 4, 5)),
-    (BR4, Move(BR4, 2, None)),
-    (BR6, Move(BR6, 0, None)),
+    (BR4, Move(BR4, 2, 5)),
+    (BR6, Move(BR6, 0, 5)),
     (EX, Move(EX, 3, 3)),
     (EX, Move(EX, 0, 5)),
     (FSH, Move(FSH, 2, 1)),
     (BSH, Move(BSH, 1, 3)),
+    (APEX, Move(APEX, 0, 3)),
+    (BR4, Move(BR4, 0, 7)),
+    (BR5, Move(BR5, 0, 3)),
 ])
 def test_apply_rejects_out_of_range(kind, move):
     with pytest.raises(InvalidMoveError):
         apply_move((0, 1, 2, 3, 4), move)
+
+
+def _reference_apply(order, move):
+    """`move` applied to `order` from the operator definitions: reverse a
+    block of 2/4/5/6 positions i..j, swap i and j, or move the job at i
+    to j."""
+    kind, i, j = move
+    block = {APEX: 2, BR4: 4, BR5: 5, BR6: 6}.get(kind)
+    if block is not None:
+        assert j - i + 1 == block
+        return tuple(order[i + j - p] if i <= p <= j else order[p]
+                     for p in range(len(order)))
+    result = list(order)
+    if kind is EX:
+        result[i], result[j] = order[j], order[i]
+    else:
+        result.insert(j, result.pop(i))
+    return tuple(result)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("kind", list(Neighborhood))
+def test_apply_matches_reference_definitions(kind, nested):
+    for n in range(1, 13):
+        order = tuple(range(10, 10 + n))
+        for move in enumerate_moves(kind, n, nested):
+            neighbor = apply_move(order, move)
+            assert neighbor == _reference_apply(order, move), move
+            # The move changes exactly the span between its two positions.
+            changed = [p for p in range(n) if neighbor[p] != order[p]]
+            assert (changed[0], changed[-1]) == tuple(sorted(move[1:])), move
 
 
 @pytest.mark.parametrize("kind", [APEX, BR4, BR5, BR6, EX])

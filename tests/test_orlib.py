@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from smtwtp_vnd import (
@@ -42,8 +44,13 @@ def test_parse_oversized_file_is_rejected():
 
 
 def test_parse_non_integer_token_reports_position():
-    with pytest.raises(BenchmarkFormatError, match="token 5: 'x'"):
-        parse_orlib("3 1 2  2 x 1  2 4 3", n=3, count=1)
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    for token in ("x", "1_0", "\u0663", "+5", "-"):
+        with pytest.raises(BenchmarkFormatError,
+                           match=re.escape(f"token 5: {token!r}")):
+            parse_orlib(f"3 1 2  2 {token} 1  2 4 3", n=3, count=1)
+    with pytest.raises(BenchmarkFormatError, match="token 2: '1_5'"):
+        load_best_known("7 1_5", count=2)
 
 
 def test_parse_rejects_invalid_job_data_with_instance_number():
