@@ -5,12 +5,8 @@ import sys
 from pathlib import Path
 
 from .engine import DescentRule, InitialOrder, Strategy
-from .harness import (
-    ALL_STRATEGIES,
-    ExperimentSpec,
-    format_summary_table,
-    run_experiment,
-)
+from .harness import ExperimentSpec, format_summary_table, run_experiment
+from .orlib import parse_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,9 +20,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--instances", required=True, type=Path,
                         help="benchmark file (headerless integer tokens)")
-    parser.add_argument("--n", required=True, type=int,
+    parser.add_argument("--n", required=True, type=parse_int,
                         help="jobs per instance")
-    parser.add_argument("--count", required=True, type=int,
+    parser.add_argument("--count", required=True, type=parse_int,
                         help="instances in the file")
     parser.add_argument("--index", default="all",
                         help="comma-separated 1-based instance indices, or 'all'")
@@ -36,17 +32,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--descent", default="best",
                         choices=[r.value for r in DescentRule],
                         help="descent rule within a neighborhood")
-    parser.add_argument("--probe-budget", type=int, default=100,
+    parser.add_argument("--probe-budget", type=parse_int, default=100,
                         help="candidate evaluations per neighborhood in an "
                              "adaptive probe")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=parse_int, default=0,
                         help="base random seed; replication r uses seed+r")
-    parser.add_argument("--replications", type=int, default=1,
+    parser.add_argument("--replications", type=parse_int, default=1,
                         help="seeded repetitions per (instance, strategy)")
     parser.add_argument("--nested", default="off", choices=["on", "off"],
                         help="abolish the adjacent-exchange exclusion of "
                              "EX/FSH/BSH")
-    parser.add_argument("--max-evals", type=int, default=None,
+    parser.add_argument("--max-evals", type=parse_int, default=None,
                         help="stop a run after this many objective evaluations")
     parser.add_argument("--initial", default="as-given",
                         choices=[o.value for o in InitialOrder],
@@ -63,7 +59,7 @@ def _parse_indices(arg: str,
     if arg.strip().lower() == "all":
         return None
     try:
-        return tuple(int(part) for part in arg.split(",") if part.strip())
+        return tuple(parse_int(part) for part in arg.split(",") if part.strip())
     except ValueError:
         parser.error(f"--index must be 'all' or comma-separated integers, got {arg!r}")
 
@@ -73,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     strategies = (
-        ALL_STRATEGIES if args.strategy == "all" else (Strategy(args.strategy),)
+        tuple(Strategy) if args.strategy == "all" else (Strategy(args.strategy),)
     )
     try:
         spec = ExperimentSpec(

@@ -53,6 +53,7 @@ class Instance:
         return len(self.processing)
 
 
+@dataclass(slots=True)
 class EvalCounter:
     """Counts objective evaluations; the fairness currency of every run.
 
@@ -60,17 +61,11 @@ class EvalCounter:
     and never decreases.
     """
 
-    __slots__ = ("count",)
-
-    def __init__(self, count: int = 0):
-        self.count = count
+    count: int = 0
 
     def tick(self) -> int:
         self.count += 1
         return self.count
-
-    def __repr__(self) -> str:
-        return f"EvalCounter(count={self.count})"
 
 
 @dataclass

@@ -12,9 +12,9 @@ are comparable on the evaluation axis alone.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, get_args
 
 from .core import (
     EvalCounter,
@@ -66,6 +66,12 @@ class StrategyConfig:
     initial: InitialOrder = InitialOrder.AS_GIVEN
 
     def __post_init__(self):
+        for f in fields(self):
+            # Exact types: `bool` is an `int` subclass, not a count or seed.
+            value = getattr(self, f.name)
+            if type(value) not in (get_args(f.type) or (f.type,)):
+                name = getattr(f.type, "__name__", f.type)
+                raise TypeError(f"{f.name} must be {name}, got {value!r}")
         if self.probe_budget < 1:
             raise ValueError("probe_budget must be >= 1")
         if self.max_evaluations is not None and self.max_evaluations < 1:
@@ -107,30 +113,27 @@ def descend(
     config: StrategyConfig,
     counter: EvalCounter,
     trace: RunTrace,
-    start_objective: int | None = None,
+    *,
+    start_objective: int,
     max_candidates: int | None = None,
 ) -> DescentResult:
-    """Descend from `start` within one neighborhood until no move improves.
+    """Descend from `start`, whose objective is `start_objective`, within
+    one neighborhood until no move improves.
 
-    Only candidate sequences are evaluated (and counted); the start's
-    objective is taken as already known.  Scans run in the neighborhood's
-    deterministic move order.  `max_candidates` caps the number of candidate
-    evaluations of this call (used by adaptive probes); the global
+    Only candidate sequences are evaluated (and counted).  Scans run in the
+    neighborhood's deterministic move order, and a candidate that improves
+    on its scan's best goes to `trace`.  `max_candidates` caps the number of
+    candidate evaluations of this call (used by adaptive probes); the global
     `config.max_evaluations` cap sets `budget_hit` on the result instead.
     When a cap interrupts a best-improvement scan, the best improving
     candidate seen so far in that scan is still accepted, so the returned
     sequence is always the best sequence evaluated.
     """
-    current = tuple(start)
-    current_obj = (
-        objective_value(instance, current)
-        if start_objective is None
-        else start_objective
-    )
+    current, current_obj = tuple(start), start_objective
     moves = enumerate_moves(kind, instance.n, config.nested)
     max_evals = config.max_evaluations
     best_rule = config.descent_rule is DescentRule.BEST_IMPROVEMENT
-    used = 0
+    entry = counter.count
     budget_hit = False
 
     descending = bool(moves)
@@ -139,19 +142,20 @@ def descend(
         best_obj = current_obj
         stopped = False
         for move in moves:
-            if max_candidates is not None and used >= max_candidates:
+            if (max_candidates is not None
+                    and counter.count - entry >= max_candidates):
                 stopped = True
                 break
             if max_evals is not None and counter.count >= max_evals:
-                stopped = True
-                budget_hit = True
+                stopped = budget_hit = True
                 break
             cand = apply_move(current, move)
             obj = objective_value(instance, cand)
             counter.tick()
-            used += 1
-            trace.record_if_improved(counter, obj)
+            # The run's best is never above the scan's, so only a scan
+            # improvement can be a new point of the trace.
             if obj < best_obj:
+                trace.record_if_improved(counter, obj)
                 best_obj = obj
                 best_seq = cand
                 if not best_rule:
@@ -164,25 +168,8 @@ def descend(
         else:
             descending = False
 
-    return DescentResult(current, current_obj, used, budget_hit)
-
-
-def _probe(instance, current, current_obj, config, counter, trace):
-    """Adaptive selection: descend from `current` in every neighborhood,
-    capped at `config.probe_budget` candidates each.  Returns the kind whose
-    probe reached the lowest objective (canonical order breaks ties) and that
-    probe's result.  When the evaluation budget runs out, probing stops there
-    and the best result so far comes back flagged `budget_hit`."""
-    best_kind = best = None
-    for kind in CANONICAL_ORDER:
-        res = descend(instance, current, kind, config, counter, trace,
-                      start_objective=current_obj,
-                      max_candidates=config.probe_budget)
-        if best is None or res.objective < best.objective:
-            best_kind, best = kind, res
-        if res.budget_hit:
-            return best_kind, best._replace(budget_hit=True)
-    return best_kind, best
+    return DescentResult(current, current_obj, counter.count - entry,
+                         budget_hit)
 
 
 def run(instance: Instance, config: StrategyConfig) -> RunResult:
@@ -214,10 +201,20 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
         elif config.strategy is Strategy.RANDOM:
             kind = remaining[rng.randrange(len(remaining))]
         else:
-            kind, res = _probe(instance, current, current_obj, config,
-                               counter, trace)
-            current, current_obj = res.sequence, res.objective
+            # Probe every neighborhood with a capped descent, stopping at
+            # the budget, and continue from the lowest probe (canonical
+            # order breaks ties).
+            probes = {}
+            for kind in CANONICAL_ORDER:
+                res = probes[kind] = descend(
+                    instance, current, kind, config, counter, trace,
+                    start_objective=current_obj,
+                    max_candidates=config.probe_budget)
+                if res.budget_hit:
+                    break
             budget_hit = res.budget_hit
+            kind = min(probes, key=lambda k: probes[k].objective)
+            current, current_obj = probes[kind].sequence, probes[kind].objective
             if budget_hit or current_obj >= before:
                 break
         res = descend(instance, current, kind, config, counter, trace,

@@ -34,8 +34,6 @@ TRACE_HEADER = "evaluations,best_objective"
 SUMMARY_HEADER = "instance,strategy,seed,final_objective,evaluations,terminated_by,gap"
 CROSSOVER_HEADER = "instance,seed,first,second,never_worse_from"
 
-ALL_STRATEGIES = (Strategy.RANDOM, Strategy.FIXED, Strategy.ADAPTIVE)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -47,7 +45,7 @@ class ExperimentSpec:
     count: int
     out_dir: Path
     instance_indices: tuple[int, ...] | None = None  # 1-based; None = all
-    strategies: tuple[Strategy, ...] = ALL_STRATEGIES
+    strategies: tuple[Strategy, ...] = tuple(Strategy)
     replications: int = 1
     descent_rule: DescentRule = DescentRule.BEST_IMPROVEMENT
     probe_budget: int = 100
@@ -75,7 +73,8 @@ class ExperimentSpec:
             )
             if duplicates:
                 raise ValueError(f"instance indices {duplicates} repeated")
-        self.config(self.strategies[0], self.seed)  # bad run settings fail here
+        for strategy in self.strategies:  # bad run settings fail here
+            self.config(strategy, self.seed)
 
     def config(self, strategy: Strategy, seed: int) -> StrategyConfig:
         """The configuration of this experiment's (strategy, seed) runs."""
@@ -206,7 +205,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     indices = (range(1, spec.count + 1) if spec.instance_indices is None
                else spec.instance_indices)
     seeds = range(spec.seed, spec.seed + spec.replications)
-    strategies = [s.value for s in ALL_STRATEGIES if s in spec.strategies]
+    strategies = [s.value for s in Strategy if s in spec.strategies]
     emit_crossover = len(strategies) >= 2
 
     out_dir = Path(spec.out_dir)

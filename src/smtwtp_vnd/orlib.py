@@ -37,15 +37,24 @@ class BenchmarkSet:
             )
 
 
+def parse_int(text: str) -> int:
+    """`text` as an int.  It must be an optional `-` followed by ASCII
+    digits: `int()` alone would also take `1_0`, `+7`, surrounding spaces or
+    non-ASCII digits.  Raises ValueError otherwise."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_integers(tokens: list[str]) -> list[int]:
-    """Each token as an int.  A token must be an optional `-` followed by
-    ASCII digits: `int()` alone would also take `1_0` or non-ASCII digits."""
+    """Each token as an int, by `parse_int`."""
     values = []
     for pos, tok in enumerate(tokens, start=1):
-        digits = tok[1:] if tok[:1] == "-" else tok
-        if not (digits.isascii() and digits.isdigit()):
-            raise BenchmarkFormatError(f"token {pos}: {tok!r} is not an integer")
-        values.append(int(tok))
+        try:
+            values.append(parse_int(tok))
+        except ValueError as exc:
+            raise BenchmarkFormatError(f"token {pos}: {exc}") from None
     return values
 
 

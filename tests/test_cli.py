@@ -93,12 +93,18 @@ def test_cli_duplicate_index_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", [
-    "--n", "--count", "--replications", "--probe-budget", "--max-evals",
+COUNT_FLAGS = ["--n", "--count", "--replications", "--probe-budget",
+               "--max-evals"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    *(pytest.param(flag, "0", id=flag) for flag in COUNT_FLAGS),
+    *(pytest.param(flag, "1_0", id=f"{flag}-1_0") for flag in COUNT_FLAGS),
 ])
-def test_cli_zero_is_a_usage_error(tmp_path, flag):
+def test_cli_zero_is_a_usage_error(tmp_path, flag, value):
+    # `1_0` is not 10: integer flags take the benchmark files' token rule.
     with pytest.raises(SystemExit) as excinfo:
-        main(base_args(tmp_path) + [flag, "0"])
+        main(base_args(tmp_path) + [flag, value])
     assert excinfo.value.code == 2
     assert not (tmp_path / "out").exists()
 
@@ -115,7 +121,8 @@ def test_cli_refuses_output_of_another_run(tmp_path, capsys):
 
 
 def test_cli_malformed_index_is_a_usage_error(tmp_path):
-    for arg in ("1,two", ","):
+    # int() reads 1_0 as 10, Arabic-Indic digits as ASCII ones and +1 as 1.
+    for arg in ("1,two", ",", "1_0", "\u0663", "\u0661", "+1"):
         with pytest.raises(SystemExit) as excinfo:
             main(base_args(tmp_path) + ["--index", arg])
         assert excinfo.value.code == 2

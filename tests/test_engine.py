@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,7 @@ def test_descend_reaches_exchange_local_optimum(tiny_instance):
     res = descend(
         tiny_instance, (2, 1, 0), Neighborhood.EX_NO_APEX, FIXED_CFG,
         counter, trace,
+        start_objective=objective_value(tiny_instance, (2, 1, 0)),
     )
     assert res.sequence == (0, 1, 2)
     assert res.objective == 5
@@ -51,7 +53,8 @@ def test_descend_on_local_optimum_scans_whole_neighborhood(tiny_instance):
     # Best-improvement proves local optimality by evaluating every move once.
     for kind in Neighborhood:
         counter, trace = EvalCounter(), RunTrace()
-        res = descend(tiny_instance, (0, 1, 2), kind, FIXED_CFG, counter, trace)
+        res = descend(tiny_instance, (0, 1, 2), kind, FIXED_CFG, counter, trace,
+                      start_objective=objective_value(tiny_instance, (0, 1, 2)))
         assert res.sequence == (0, 1, 2)
         assert counter.count == neighborhood_size(kind, 3)
         assert res.evaluations == counter.count
@@ -64,7 +67,8 @@ def test_descend_empty_neighborhood_is_a_no_op():
     )
     counter, trace = EvalCounter(), RunTrace()
     res = descend(inst, (4, 3, 2, 1, 0), Neighborhood.BR6, FIXED_CFG,
-                  counter, trace)
+                  counter, trace,
+                  start_objective=objective_value(inst, (4, 3, 2, 1, 0)))
     assert res.sequence == (4, 3, 2, 1, 0)
     assert counter.count == 0
     assert res.evaluations == 0
@@ -80,7 +84,8 @@ def test_descend_result_is_local_optimum_for_its_kind(rule):
         start = tuple(rng.sample(range(n), n))
         kind = rng.choice(list(Neighborhood))
         counter, trace = EvalCounter(), RunTrace()
-        res = descend(inst, start, kind, config, counter, trace)
+        res = descend(inst, start, kind, config, counter, trace,
+                      start_objective=objective_value(inst, start))
         assert res.objective <= objective_value(inst, start)
         assert res.objective == objective_value(inst, res.sequence)
         assert certify_local_optimum(inst, res.sequence, [kind])
@@ -154,6 +159,18 @@ def test_config_validation():
         StrategyConfig(strategy=Strategy.FIXED, probe_budget=0)
     with pytest.raises(ValueError):
         StrategyConfig(strategy=Strategy.FIXED, max_evaluations=0)
+    # Settings of the wrong type would otherwise run as another setting:
+    # "fixed" is not Strategy.FIXED and "off" is truthy.
+    with pytest.raises(TypeError, match="strategy must be Strategy"):
+        StrategyConfig("fixed")
+    for field, value in [
+        ("descent_rule", "best"), ("initial", "edd"), ("nested", "off"),
+        ("nested", 1), ("probe_budget", True), ("probe_budget", 1.0),
+        ("seed", True), ("seed", "1"), ("max_evaluations", True),
+        ("max_evaluations", 5.0),
+    ]:
+        with pytest.raises(TypeError, match=field):
+            StrategyConfig(strategy=Strategy.FIXED, **{field: value})
 
 
 def test_initial_sequence_constructions():
@@ -359,7 +376,8 @@ def test_first_improvement_uses_fewer_evaluations_per_step(tiny_instance):
         counter, trace = EvalCounter(), RunTrace()
         config = StrategyConfig(strategy=Strategy.FIXED, descent_rule=rule)
         res = descend(tiny_instance, (2, 1, 0), Neighborhood.EX_NO_APEX,
-                      config, counter, trace)
+                      config, counter, trace,
+                      start_objective=objective_value(tiny_instance, (2, 1, 0)))
         assert res.objective == 5
 
 
@@ -379,8 +397,48 @@ def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     counter, trace = EvalCounter(), RunTrace()
     res = descend(
         tiny_instance, (2, 1, 0), Neighborhood.APEX, FIXED_CFG,
-        counter, trace, max_candidates=1,
+        counter, trace,
+        start_objective=objective_value(tiny_instance, (2, 1, 0)),
+        max_candidates=1,
     )
     assert res.evaluations == 1
     assert counter.count == 1
     assert not res.budget_hit
+
+
+def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
+    # Every objective the run determines is logged; the trace must hold
+    # exactly the strict running minima of that log, each at its 1-based
+    # position, and the log must be as long as the evaluation total.
+    log = []
+    original = engine.objective_value
+
+    def logging_objective(instance, order):
+        value = original(instance, order)
+        log.append(value)
+        return value
+
+    monkeypatch.setattr(engine, "objective_value", logging_objective)
+    rng = random.Random(31)
+    settings = [(Strategy.RANDOM, 100), (Strategy.FIXED, 100),
+                (Strategy.ADAPTIVE, 1), (Strategy.ADAPTIVE, 100)]
+    runs = 0
+    for n in (2, 3, 5, 8, 12, 20):
+        inst = random_instance(rng, n)
+        for (strategy, probe_budget), rule, nested, budget in itertools.product(
+            settings, DescentRule, (False, True), (None, 37)
+        ):
+            log.clear()
+            result = run(inst, StrategyConfig(
+                strategy=strategy, descent_rule=rule, probe_budget=probe_budget,
+                seed=runs, nested=nested, max_evaluations=budget,
+                initial=InitialOrder.RANDOM,
+            ))
+            assert len(log) == result.evaluations_total
+            minima = []
+            for position, value in enumerate(log, start=1):
+                if not minima or value < minima[-1][1]:
+                    minima.append((position, value))
+            assert result.trace.points == minima
+            runs += 1
+    assert runs == 192

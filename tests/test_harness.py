@@ -271,6 +271,11 @@ def test_experiment_spec_rejects_duplicate_indices(tmp_path):
 def test_experiment_spec_requires_strategies(tmp_path):
     with pytest.raises(ValueError, match="at least one strategy"):
         make_spec(tmp_path, strategies=())
+    # Every entry is checked, so a string neither runs no cell nor drops out.
+    for strategies in [("fixed",), (Strategy.FIXED, "random")]:
+        with pytest.raises(TypeError, match="strategy must be Strategy"):
+            make_spec(tmp_path, strategies=strategies)
+    assert not (tmp_path / "out").exists()
 
 
 def test_format_summary_table(tmp_path):
