@@ -14,7 +14,6 @@ from .core import (
     objective_value,
 )
 from .engine import (
-    DescentResult,
     DescentRule,
     InitialOrder,
     RunResult,
@@ -25,7 +24,6 @@ from .engine import (
     run,
 )
 from .harness import (
-    ExperimentOutput,
     ExperimentSpec,
     crossover_report,
     run_experiment,
@@ -35,11 +33,9 @@ from .neighborhoods import (
     InvalidMoveError,
     Move,
     Neighborhood,
-    SizeCounts,
     apply_move,
     enumerate_moves,
     neighborhood_size,
-    neighborhood_size_counts,
 )
 from .oracle import brute_force_optimum, certify_local_optimum
 from .orlib import (
@@ -58,10 +54,8 @@ __all__ = [
     "BenchmarkFormatError",
     "BenchmarkSet",
     "CANONICAL_ORDER",
-    "DescentResult",
     "DescentRule",
     "EvalCounter",
-    "ExperimentOutput",
     "ExperimentSpec",
     "InitialOrder",
     "Instance",
@@ -71,7 +65,6 @@ __all__ = [
     "RunResult",
     "RunTrace",
     "Sequence",
-    "SizeCounts",
     "Strategy",
     "StrategyConfig",
     "Termination",
@@ -86,7 +79,6 @@ __all__ = [
     "is_permutation",
     "load_best_known",
     "neighborhood_size",
-    "neighborhood_size_counts",
     "objective_value",
     "parse_orlib",
     "run",

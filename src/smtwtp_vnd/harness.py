@@ -13,7 +13,6 @@ is informational only; comparisons use evaluation counts.
 import json
 import os
 import time
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +55,12 @@ class ExperimentSpec:
     best_known_file: Path | None = None
 
     def __post_init__(self):
+        ints = (self.n, self.count, self.replications,
+                *(self.instance_indices or ()))
+        bad = [v for v in ints if type(v) is not int]  # bool is no count
+        if bad:
+            raise TypeError("n, count, replications and instance indices "
+                            f"must be int, got {bad[0]!r}")
         if min(self.n, self.count, self.replications) < 1:
             raise ValueError("n, count and replications must be >= 1")
         if not self.strategies:
@@ -105,22 +110,33 @@ class ExperimentOutput:
         return written
 
 
-def _step_value(trace: RunTrace, evals: list[int], at: int) -> float:
-    """Best objective of `trace`, whose evaluation column is `evals`, at
-    evaluation count `at`; +inf before the first recorded point."""
-    i = bisect_right(evals, at)
-    return trace.points[i - 1][1] if i else float("inf")
+def _switch_point(a: list[tuple[int, int]],
+                  b: list[tuple[int, int]]) -> int | None:
+    """The first breakpoint of the last run of breakpoints at which trace
+    points `a` are never worse than `b`, if `a` is strictly better somewhere
+    in that run; else None.  A trace is +inf before its first point."""
+    steps_a, steps_b = dict(a), dict(b)
+    va = vb = float("inf")
+    start, strictly_better = None, False
+    for k in sorted(steps_a.keys() | steps_b.keys()):
+        va, vb = steps_a.get(k, va), steps_b.get(k, vb)
+        if va > vb:
+            start, strictly_better = None, False
+        else:
+            start = k if start is None else start
+            strictly_better = strictly_better or va < vb
+    return start if strictly_better else None
 
 
 def crossover_report(traces: list[RunTrace],
                      labels: list[str]) -> dict[tuple[str, str], int | None]:
     """Pairwise step-function comparison of anytime traces.
 
-    Each trace extends its last best objective to infinity.  For every
-    ordered pair (a, b) of labels, in label order, the result maps (a, b) to
-    the smallest breakpoint k such that a is never worse than b at any
-    breakpoint >= k and strictly better at one of them; identical tails
-    yield None.
+    Each trace is +inf before its first point and keeps its last best
+    objective after its last.  For every ordered pair (a, b) of labels, in
+    label order, the result maps (a, b) to the smallest breakpoint k (an
+    evaluation count of either trace) such that a is never worse than b at
+    every breakpoint >= k and strictly better at one of them, else to None.
     """
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
@@ -129,27 +145,9 @@ def crossover_report(traces: list[RunTrace],
     for label, trace in zip(labels, traces):
         if not trace.points:
             raise ValueError(f"trace {label!r} is empty")
-
-    columns = [[e for e, _ in trace.points] for trace in traces]
-    report = {}
-    for a, trace_a, evals_a in zip(labels, traces, columns):
-        for b, trace_b, evals_b in zip(labels, traces, columns):
-            if a == b:
-                continue
-            breakpoints = sorted(set(evals_a) | set(evals_b))
-            switch: int | None = None
-            strictly_better = False
-            for k in reversed(breakpoints):
-                va = _step_value(trace_a, evals_a, k)
-                vb = _step_value(trace_b, evals_b, k)
-                if va > vb:
-                    break
-                if va < vb:
-                    strictly_better = True
-                if strictly_better:
-                    switch = k
-            report[a, b] = switch
-    return report
+    return {(a, b): _switch_point(trace_a.points, trace_b.points)
+            for a, trace_a in zip(labels, traces)
+            for b, trace_b in zip(labels, traces) if a != b}
 
 
 def format_gap(final_objective: int, best_known: int | None) -> str:

@@ -1,4 +1,4 @@
-"""The seven permutation move operators and their enumeration.
+"""The seven permutation move operators, their enumeration and their sizes.
 
 Operators act on positions in the sequence, not on job identities.  They
 come in three families, and `Move(kind, i, j)` means the same within each:
@@ -12,6 +12,9 @@ come in three families, and `Move(kind, i, j)` means the same within each:
 
 With nested mode on, the adjacent exclusion of EX/FSH/BSH is abolished and
 those three operators contain APEX as a special case.
+
+Neighborhoods hold distinct moves (an exchange is one move, not two ordered
+pairs), which `neighborhood_size` counts in closed form.
 """
 
 from enum import Enum
@@ -52,18 +55,6 @@ class Move(NamedTuple):
     j: int
 
 
-class SizeCounts(NamedTuple):
-    """Distinct neighbor count and the ordered-pair count.
-
-    The two differ only for EX, where every exchange can be written as the
-    ordered pairs (i, j) and (j, i); enumeration and descent always use
-    distinct neighbors.
-    """
-
-    distinct: int
-    ordered: int
-
-
 class InvalidMoveError(ValueError):
     """A move whose positions are out of range for the given sequence."""
 
@@ -93,25 +84,17 @@ def enumerate_moves(
 
 
 def neighborhood_size(kind: Neighborhood, n: int, nested: bool = False) -> int:
-    """Closed-form distinct neighbor count; equals len(enumerate_moves(...))."""
-    return neighborhood_size_counts(kind, n, nested).distinct
-
-
-def neighborhood_size_counts(
-    kind: Neighborhood, n: int, nested: bool = False
-) -> SizeCounts:
-    """Closed-form sizes of `kind` for sequences of length n, clamped at 0."""
+    """Closed-form count of the distinct moves of `kind` on a sequence of
+    length n, clamped at 0; equals len(enumerate_moves(kind, n, nested))."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if kind not in CANONICAL_ORDER:
+        raise ValueError(f"unknown neighborhood kind: {kind!r}")
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
-        size = max(0, n - k + 1)
-        return SizeCounts(size, size)
+        return max(0, n - k + 1)
     # EX/FSH/BSH: one move per position pair, adjacent pairs only if nested.
-    size = n * (n - 1) // 2 if nested else (n - 1) * (n - 2) // 2
-    if kind is Neighborhood.EX_NO_APEX:
-        return SizeCounts(size, 2 * size)
-    return SizeCounts(size, size)
+    return n * (n - 1) // 2 if nested else (n - 1) * (n - 2) // 2
 
 
 def apply_move(order: Sequence, move: Move) -> Sequence:

@@ -22,7 +22,7 @@ from smtwtp_vnd import (
     crossover_report,
     enumerate_moves,
     generate_benchmark_set,
-    neighborhood_size_counts,
+    neighborhood_size,
     objective_value,
     parse_orlib,
     run,
@@ -113,10 +113,9 @@ def test_criterion_1_neighborhood_cardinalities():
     }
     for kind, distinct in expected_distinct.items():
         assert len(enumerate_moves(kind, 100)) == distinct
-        counts = neighborhood_size_counts(kind, 100)
-        assert counts.distinct == distinct
-    # the ordered-pair exchange count n(n-3)+2 is reported alongside
-    assert neighborhood_size_counts(Neighborhood.EX_NO_APEX, 100).ordered \
+        assert neighborhood_size(kind, 100) == distinct
+    # the ordered-pair exchange count n(n-3)+2 counts each exchange twice
+    assert 2 * neighborhood_size(Neighborhood.EX_NO_APEX, 100) \
         == 100 * (100 - 3) + 2 == 9702
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"enumeration took {elapsed:.3f}s"

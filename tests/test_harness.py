@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,45 @@ def test_crossover_three_way():
     assert report["c", "b"] == 2
     assert report["c", "a"] == 2
     assert report["a", "c"] is None
+
+
+def reference_switch(a, b):
+    """`crossover_report`'s docstring read literally: the smallest
+    breakpoint k such that a is never worse than b at every breakpoint >= k
+    and strictly better at one of them, else None."""
+    def value(points, at):
+        seen = [v for e, v in points if e <= at]
+        return seen[-1] if seen else math.inf
+
+    breakpoints = sorted({e for e, _ in a + b})
+    for k in breakpoints:
+        tail = [(value(a, t), value(b, t)) for t in breakpoints if t >= k]
+        if all(va <= vb for va, vb in tail) and any(va < vb for va, vb in tail):
+            return k
+    return None
+
+
+def test_crossover_matches_its_definition():
+    rng = random.Random(9)
+    for _ in range(1000):
+        pointss = []
+        for _ in range(rng.randint(2, 4)):
+            if pointss and rng.random() < 0.3:
+                # a copy of an earlier trace from some point on: equal tails
+                other = rng.choice(pointss)
+                cut = rng.randrange(len(other))
+                head = [(e, v + rng.randint(1, 3)) for e, v in other[:cut]]
+                pointss.append(head + other[cut:])
+                continue
+            evals = sorted(rng.sample(range(1, 25), rng.randint(1, 5)))
+            values = sorted(rng.sample(range(12), len(evals)), reverse=True)
+            pointss.append(list(zip(evals, values)))  # often starts after 1
+        labels = [f"s{i}" for i in range(len(pointss))]
+        report = crossover_report([trace(p) for p in pointss], labels)
+        assert report == {
+            (a, b): reference_switch(pa, pb)
+            for a, pa in zip(labels, pointss)
+            for b, pb in zip(labels, pointss) if a != b}
 
 
 # --- gap formatting ---------------------------------------------------------
@@ -261,6 +302,19 @@ def test_experiment_spec_validates_indices(tmp_path):
         make_spec(tmp_path, instance_indices=(126,))
     with pytest.raises(ValueError, match="empty"):
         make_spec(tmp_path, instance_indices=())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("instance_indices", (True,)),
+    ("instance_indices", (1.0,)),
+    ("count", True),
+    ("replications", True),
+    ("n", 3.0),
+])
+def test_experiment_spec_requires_int_counts(tmp_path, field, value):
+    with pytest.raises(TypeError, match="must be int"):
+        make_spec(tmp_path, **{field: value})
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_spec_rejects_duplicate_indices(tmp_path):

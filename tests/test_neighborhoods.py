@@ -10,7 +10,6 @@ from smtwtp_vnd import (
     apply_move,
     enumerate_moves,
     neighborhood_size,
-    neighborhood_size_counts,
 )
 
 APEX = Neighborhood.APEX
@@ -48,9 +47,9 @@ def test_sizes_at_n100(kind, expected):
 
 
 def test_ex_ordered_pair_count():
-    counts = neighborhood_size_counts(EX, 100)
-    assert counts.distinct == 4851
-    assert counts.ordered == 100 * (100 - 3) + 2 == 9702
+    # The paper also counts exchanges as ordered pairs (i, j) and (j, i).
+    assert neighborhood_size(EX, 100) == 4851
+    assert 2 * neighborhood_size(EX, 100) == 100 * (100 - 3) + 2 == 9702
 
 
 @pytest.mark.parametrize("nested", [False, True])
@@ -59,8 +58,11 @@ def test_ex_ordered_pair_count():
 def test_closed_forms_match_enumeration(kind, n, nested):
     moves = enumerate_moves(kind, n, nested)
     assert len(moves) == neighborhood_size(kind, n, nested)
-    ordered = neighborhood_size_counts(kind, n, nested).ordered
-    assert ordered == (2 if kind is EX else 1) * len(moves)
+    if kind is EX:  # each exchange is the ordered pairs (i, j) and (j, i)
+        gap = 1 if nested else 2
+        ordered = [(i, j) for i in range(n) for j in range(n)
+                   if abs(i - j) >= gap]
+        assert len(ordered) == 2 * len(moves)
     assert len(set(moves)) == len(moves)
     # deterministic ascending (i, j) scan order
     keys = [(m.i, m.j) for m in moves]
@@ -70,6 +72,17 @@ def test_closed_forms_match_enumeration(kind, n, nested):
 def test_br6_empty_below_minimum_size():
     assert neighborhood_size(BR6, 5) == 0
     assert enumerate_moves(BR6, 5) == ()
+
+
+@pytest.mark.parametrize("kind", ["bogus", None])
+@pytest.mark.parametrize("call", [
+    lambda kind: enumerate_moves(kind, 5),
+    lambda kind: neighborhood_size(kind, 5),
+    lambda kind: apply_move((0, 1, 2, 3, 4), Move(kind, 0, 1)),
+], ids=["enumerate_moves", "neighborhood_size", "apply_move"])
+def test_unknown_kind_is_rejected(call, kind):
+    with pytest.raises(ValueError, match="unknown neighborhood kind"):
+        call(kind)
 
 
 def test_apply_block_reversal():
@@ -205,7 +218,7 @@ def test_nested_sizes():
     assert neighborhood_size(EX, 10, nested=True) == 45
     assert neighborhood_size(FSH, 10, nested=True) == 45
     assert neighborhood_size(BSH, 10, nested=True) == 45
-    assert neighborhood_size_counts(EX, 10, nested=True).ordered == 90
+    assert 2 * neighborhood_size(EX, 10, nested=True) == 10 * 9
 
 
 def test_ex_distinct_count_by_exhaustive_pair_enumeration():
