@@ -11,6 +11,7 @@ determination ticks the shared counter, so runs of different strategies
 are comparable on the evaluation axis alone.
 """
 
+import math
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -122,32 +123,28 @@ def descend(
 
     Only candidate sequences are evaluated (and counted).  Scans run in the
     neighborhood's deterministic move order, and a candidate that improves
-    on its scan's best goes to `trace`.  `max_candidates` caps the number of
-    candidate evaluations of this call (used by adaptive probes); the global
-    `config.max_evaluations` cap sets `budget_hit` on the result instead.
-    When a cap interrupts a best-improvement scan, the best improving
-    candidate seen so far in that scan is still accepted, so the returned
-    sequence is always the best sequence evaluated.
+    on its scan's best goes to `trace`.  A scan stops when the counter
+    reaches the first of two limits: `max_candidates` evaluations of this
+    call (adaptive's probe cap) and the run's `config.max_evaluations`.
+    `budget_hit` says the budget stopped a scan before the cap was reached,
+    so the cap wins a tie.  The best improving candidate of a stopped scan
+    is still accepted, so the returned sequence is always the best sequence
+    evaluated.
     """
     current, current_obj = tuple(start), start_objective
     moves = enumerate_moves(kind, instance.n, config.nested)
-    max_evals = config.max_evaluations
     best_rule = config.descent_rule is DescentRule.BEST_IMPROVEMENT
     entry = counter.count
-    budget_hit = False
+    # One stop count per call; a limit that is not set is none.
+    cap = math.inf if max_candidates is None else entry + max_candidates
+    stop = min(cap, config.max_evaluations or math.inf)
+    stopped = False
 
-    descending = bool(moves)
-    while descending:
-        best_seq: Sequence | None = None
-        best_obj = current_obj
-        stopped = False
+    while True:
+        best_seq, best_obj = None, current_obj
         for move in moves:
-            if (max_candidates is not None
-                    and counter.count - entry >= max_candidates):
+            if counter.count >= stop:
                 stopped = True
-                break
-            if max_evals is not None and counter.count >= max_evals:
-                stopped = budget_hit = True
                 break
             cand = apply_move(current, move)
             obj = objective_value(instance, cand)
@@ -156,20 +153,17 @@ def descend(
             # improvement can be a new point of the trace.
             if obj < best_obj:
                 trace.record_if_improved(counter, obj)
-                best_obj = obj
-                best_seq = cand
+                best_obj, best_seq = obj, cand
                 if not best_rule:
                     break
-        if best_seq is not None:
-            current, current_obj = best_seq, best_obj
-            # A first-improvement move rescans from the top; an interrupted
-            # scan cannot continue either way.
-            descending = not stopped
-        else:
-            descending = False
+        if best_seq is None:
+            break
+        # A first-improvement move rescans from the top; after a stopped
+        # scan the next one stops before its first candidate.
+        current, current_obj = best_seq, best_obj
 
     return DescentResult(current, current_obj, counter.count - entry,
-                         budget_hit)
+                         stopped and stop < cap)
 
 
 def run(instance: Instance, config: StrategyConfig) -> RunResult:

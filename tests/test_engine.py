@@ -422,6 +422,36 @@ def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     assert not res.budget_hit
 
 
+def test_descend_stop_precedence():
+    # A descent stops at the probe cap or the budget, whichever comes
+    # first; `budget_hit` says the budget stopped a scan, and the cap wins
+    # a tie.  EX at n = 6 has 10 moves, so no descent ends within 3.
+    inst = random_instance(random.Random(41), 6)
+    start = (5, 4, 3, 2, 1, 0)
+    for budget, evaluations, budget_hit in [(8, 3, False), (7, 2, True)]:
+        config = StrategyConfig(strategy=Strategy.FIXED,
+                                max_evaluations=budget)
+        res = descend(inst, start, Neighborhood.EX_NO_APEX, config,
+                      EvalCounter(count=5), RunTrace(),
+                      start_objective=objective_value(inst, start),
+                      max_candidates=3)
+        assert (res.evaluations, res.budget_hit) == (evaluations, budget_hit)
+
+    # From a local optimum a best-improvement descent is one whole scan.
+    # Ending on the budget's last evaluation is not a stop; one fewer is.
+    kind = Neighborhood.FSH_NO_APEX
+    optimum = descend(inst, start, kind, FIXED_CFG, EvalCounter(), RunTrace(),
+                      start_objective=objective_value(inst, start)).sequence
+    size = neighborhood_size(kind, 6)
+    for budget, budget_hit in [(5 + size, False), (4 + size, True)]:
+        config = StrategyConfig(strategy=Strategy.FIXED,
+                                max_evaluations=budget)
+        res = descend(inst, optimum, kind, config, EvalCounter(count=5),
+                      RunTrace(),
+                      start_objective=objective_value(inst, optimum))
+        assert (res.evaluations, res.budget_hit) == (budget - 5, budget_hit)
+
+
 def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
     # Every objective the run determines is logged; the trace must hold
     # exactly the strict running minima of that log, each at its 1-based
