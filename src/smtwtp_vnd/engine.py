@@ -2,13 +2,13 @@
 
 `run` evaluates the initial sequence once, then repeatedly picks a
 neighborhood from those still eligible and descends in it until no move
-improves, until none of the seven can improve the incumbent (or an
-evaluation budget runs out).  The strategies differ only in that pick:
-`fixed` takes the first eligible one in canonical order, `random` draws one
-uniformly, and `adaptive` probes all seven with short capped descents and
-continues in the one whose probe got furthest.  Every candidate objective
-determination ticks the shared counter, so runs of different strategies
-are comparable on the evaluation axis alone.
+improves.  Every strategy stops by one rule: when none of the seven can
+improve the incumbent (or an evaluation budget runs out).  The strategies
+differ only in the pick: `fixed` takes the first eligible one in canonical
+order, `random` draws one uniformly, and `adaptive` probes all seven with
+short capped descents and continues in the one whose probe got furthest.
+Every candidate objective determination ticks the shared counter, so runs
+of different strategies are comparable on the evaluation axis alone.
 """
 
 import math
@@ -17,18 +17,13 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple, get_args
 
-from .core import (
-    EvalCounter,
-    Instance,
-    RunTrace,
-    Sequence,
-    objective_value,
-)
+from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
 from .neighborhoods import (
     CANONICAL_ORDER,
     Neighborhood,
     apply_move,
     enumerate_moves,
+    neighborhood_size,
 )
 
 
@@ -124,16 +119,14 @@ def descend(
     Only candidate sequences are evaluated (and counted).  Scans run in the
     neighborhood's deterministic move order, and a candidate that improves
     on its scan's best goes to `trace`.  A scan stops when the counter
-    reaches the first of two limits: `max_candidates` evaluations of this
-    call (adaptive's probe cap) and the run's `config.max_evaluations`.
-    `budget_hit` says the budget stopped a scan before the cap was reached,
-    so the cap wins a tie.  The best improving candidate of a stopped scan
-    is still accepted, so the returned sequence is always the best sequence
-    evaluated.
+    reaches `max_candidates` evaluations of this call (adaptive's probe cap)
+    or the run's `config.max_evaluations`; `budget_hit` says the budget
+    stopped one first (the cap wins a tie).  The best improving candidate of
+    a stopped scan is still accepted, so the returned sequence is always the
+    best sequence evaluated.
     """
     current, current_obj = tuple(start), start_objective
     moves = enumerate_moves(kind, instance.n, config.nested)
-    best_rule = config.descent_rule is DescentRule.BEST_IMPROVEMENT
     entry = counter.count
     # One stop count per call; a limit that is not set is none.
     cap = math.inf if max_candidates is None else entry + max_candidates
@@ -154,12 +147,11 @@ def descend(
             if obj < best_obj:
                 trace.record_if_improved(counter, obj)
                 best_obj, best_seq = obj, cand
-                if not best_rule:
+                if config.descent_rule is DescentRule.FIRST_IMPROVEMENT:
                     break
         if best_seq is None:
             break
-        # A first-improvement move rescans from the top; after a stopped
-        # scan the next one stops before its first candidate.
+        # Rescan from the new incumbent; after a stop the rescan stops too.
         current, current_obj = best_seq, best_obj
 
     return DescentResult(current, current_obj, counter.count - entry,
@@ -172,10 +164,13 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
     Each round picks one of the neighborhoods still eligible (kept in
     canonical order) and descends in it from the incumbent.  `fixed` takes
     the first, `random` draws one uniformly, and `adaptive` probes all seven
-    and continues from the best probe in its neighborhood.  An improvement
-    makes all seven eligible again; a descent that does not improve rules
-    its neighborhood out.  The run ends when none is left, when adaptive's
-    probes find no improvement, or when the evaluation budget runs out.
+    once per incumbent and continues from the best probe in its
+    neighborhood.  An improvement makes all seven eligible again; a descent
+    that does not improve rules its neighborhood out.  If no probe improves,
+    those that stayed under their cap rule theirs out, and adaptive descends
+    in the rest as `fixed` does, rescanning moves its probes saw.  The run
+    ends only when none is left or the budget runs out, so for every
+    strategy exhaustion means each neighborhood was scanned whole at the end.
     """
     rng = random.Random(config.seed)
     counter, trace = EvalCounter(), RunTrace()
@@ -184,20 +179,16 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
     counter.tick()
     trace.record_if_improved(counter, current_obj)
 
+    adaptive = probing = config.strategy is Strategy.ADAPTIVE
     remaining = list(CANONICAL_ORDER)
     budget_hit = False
     while remaining and not budget_hit:
         # Adaptive measures improvement from before its probes, so a
         # descent that only keeps what its probe found still counts.
         before = current_obj
-        if config.strategy is Strategy.FIXED:
-            kind = remaining[0]
-        elif config.strategy is Strategy.RANDOM:
-            kind = remaining[rng.randrange(len(remaining))]
-        else:
-            # Probe every neighborhood with a capped descent, stopping at
-            # the budget, and continue from the lowest probe (canonical
-            # order breaks ties).
+        if probing:
+            # Probe every neighborhood with a capped descent, stopping at the
+            # budget; the lowest probe wins (canonical order breaks ties).
             probes = {}
             for kind in CANONICAL_ORDER:
                 res = probes[kind] = descend(
@@ -209,14 +200,23 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
             budget_hit = res.budget_hit
             kind = min(probes, key=lambda k: probes[k].objective)
             current, current_obj = probes[kind].sequence, probes[kind].objective
-            if budget_hit or current_obj >= before:
-                break
+            if current_obj >= before:
+                # Only a probe under its cap scanned its whole neighborhood.
+                probing = False
+                remaining = [k for k in CANONICAL_ORDER if neighborhood_size(
+                    k, instance.n, config.nested) > config.probe_budget]
+                continue
+        elif config.strategy is Strategy.RANDOM:
+            kind = remaining[rng.randrange(len(remaining))]
+        else:
+            kind = remaining[0]
         res = descend(instance, current, kind, config, counter, trace,
                       start_objective=current_obj)
         current, current_obj = res.sequence, res.objective
         budget_hit = res.budget_hit
         if current_obj < before:
             remaining = list(CANONICAL_ORDER)
+            probing = adaptive
         else:
             remaining.remove(kind)
 

@@ -1,8 +1,10 @@
 """Exact ground truth for small instances.
 
 Used to certify search results: exhaustive optimum for n <= 10 and an
-enumeration-based local-optimality check that shares no code with the
-descent engine.
+enumeration-based local-optimality check.  Only the objective is written
+out separately from the descent engine; the check enumerates and applies
+moves with the engine's own move code, which the closed-form sizes and
+the reference move definitions in the tests pin independently.
 """
 
 import math

@@ -107,8 +107,9 @@ def main(argv=None) -> int:
     # Both children run at once, one per source tree.
     children = [start_child(src, seed) for seed, src in enumerate(trees, 1)]
     results = [collect(src, child) for src, child in zip(trees, children)]
-    for src, hashes in zip(trees, results):
-        print(f"{digest(hashes)}  {len(hashes)} runs  {src}")
+    for seed, (src, hashes) in enumerate(zip(trees, results), 1):
+        print(f"{digest(hashes)}  {len(hashes)} runs  {src} "
+              f"(PYTHONHASHSEED={seed})")
     if len(results) == 1:
         return 0
     mine, theirs = results

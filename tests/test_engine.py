@@ -154,6 +154,14 @@ def test_strategy_decides_neighborhood_order(tiny_instance, monkeypatch):
                                       probe_budget=4))
     assert calls == [(kind, 4) for kind in canonical]
 
+    # A probe of one candidate cannot see APEX's two moves, so after seven
+    # failed probes adaptive descends in APEX in full before it may stop.
+    calls.clear()
+    run(tiny_instance, StrategyConfig(strategy=Strategy.ADAPTIVE,
+                                      probe_budget=1))
+    assert calls == [(kind, 1) for kind in canonical] + [
+        (Neighborhood.APEX, None)]
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -248,12 +256,24 @@ def test_adaptive_matches_reference_orchestration():
                 probes, key=lambda kr: (kr[1].objective,
                                         list(CANONICAL_ORDER).index(kr[0]))
             )
-            if best_res.objective >= current_obj:
+            if best_res.objective < current_obj:
+                res = descend(inst, best_res.sequence, best_kind, config,
+                              counter, trace,
+                              start_objective=best_res.objective)
+                current, current_obj = res.sequence, res.objective
+                continue
+            # No probe improved: prove the neighborhoods no probe saw whole,
+            # in canonical order, and probe again after an improvement.
+            for kind in CANONICAL_ORDER:
+                if neighborhood_size(kind, inst.n) <= config.probe_budget:
+                    continue
+                res = descend(inst, current, kind, config, counter, trace,
+                              start_objective=current_obj)
+                if res.objective < current_obj:
+                    current, current_obj = res.sequence, res.objective
+                    break
+            else:
                 return current_obj, counter.count, trace.points
-            current, current_obj = best_res.sequence, best_res.objective
-            res = descend(inst, current, best_kind, config, counter, trace,
-                          start_objective=current_obj)
-            current, current_obj = res.sequence, res.objective
 
     rng = random.Random(2025)
     for probe_budget in (3, 10, 100):
@@ -325,19 +345,26 @@ def test_exhausted_runs_are_locally_optimal_everywhere(strategy, rule):
         assert_valid_trace(result.trace)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: adaptive stops when its capped probes find nothing, "
-    "although a probe sees only 100 of the ~4,900 EX/FSH/BSH moves"))
-def test_exhausted_adaptive_runs_at_n100_are_locally_optimal():
-    for seed, rule, nested in [(1, DescentRule.FIRST_IMPROVEMENT, True),
-                               (2, DescentRule.BEST_IMPROVEMENT, False)]:
-        inst = generate_benchmark_set(n=100, seed=seed).instances[0]
-        result = run(inst, StrategyConfig(
-            strategy=Strategy.ADAPTIVE, descent_rule=rule, nested=nested,
-            max_evaluations=100_000))
-        if result.terminated_by is Termination.ALL_NEIGHBORHOODS_EXHAUSTED:
+def test_every_strategy_stops_only_at_a_local_optimum():
+    # Without a budget every run ends exhausted, and that must mean every
+    # neighborhood was scanned whole at the final incumbent: the sequence
+    # is certified, and the run spent at least one scan of each.
+    settings = [(Strategy.FIXED, 100), (Strategy.RANDOM, 100),
+                (Strategy.ADAPTIVE, 1), (Strategy.ADAPTIVE, 100)]
+    for n, index in [(12, 41), (20, 81)]:
+        inst = generate_benchmark_set(n=n, seed=7).instances[index - 1]
+        for (strategy, probe_budget), rule, nested in itertools.product(
+            settings, DescentRule, (False, True)
+        ):
+            result = run(inst, StrategyConfig(
+                strategy=strategy, descent_rule=rule, nested=nested,
+                probe_budget=probe_budget, seed=n))
+            assert result.terminated_by is \
+                Termination.ALL_NEIGHBORHOODS_EXHAUSTED
             assert certify_local_optimum(
                 inst, result.best_sequence, list(Neighborhood), nested)
+            assert result.evaluations_total >= 1 + sum(
+                neighborhood_size(kind, n, nested) for kind in Neighborhood)
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
