@@ -7,19 +7,28 @@ improve the incumbent (or an evaluation budget runs out).  The strategies
 differ only in the pick: `fixed` takes the first eligible one in canonical
 order, `random` draws one uniformly, and `adaptive` probes all seven with
 short capped descents and continues in the one whose probe got furthest.
-Every candidate objective determination ticks the shared counter, so runs
-of different strategies are comparable on the evaluation axis alone.
+
+Every scanned candidate is one evaluation and ticks the shared counter, so
+runs of different strategies are comparable on the evaluation axis alone.
+A candidate is scored from the span of positions its move changes, against
+tables built once per scan; an exchange whose exact lower bound shows it
+cannot improve on the scan's best is not scored further, and counts too.
 """
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple, get_args
 
 from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
+# enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
+    _BLOCK_LENGTH,
     CANONICAL_ORDER,
+    Move,
     Neighborhood,
     apply_move,
     enumerate_moves,
@@ -102,6 +111,133 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
     return tuple(order)
 
 
+def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
+                nested: bool, limit: list) -> Iterator[tuple[int, int, int]]:
+    """Yield `(i, j, value)` for every move `Move(kind, i, j)` on `seq`, in
+    `enumerate_moves` order.
+
+    `value` is the objective of `apply_move(seq, move)`, scored from the
+    span the move changes: every job before or after it keeps its completion
+    time.  The one exception is an EX candidate whose exact lower bound is
+    at least `limit[0]`, the scan's best, which the caller lowers as the
+    scan improves: it cannot go below that, so its value is the bound (at
+    most the objective) and its inner span is not scanned.
+    """
+    p, w, d = instance.processing, instance.weight, instance.due
+    P = [p[job] for job in seq]
+    W = [w[job] for job in seq]
+    D = [d[job] for job in seq]
+    comp = list(accumulate(P))           # completion time at each position
+    pre, tw = [0], [0]                   # cost, tardy weight of positions < m
+    cost = weight = 0
+    for c, wm, dm in zip(comp, W, D):
+        if c > dm:
+            cost += wm * (c - dm)
+            weight += wm
+        pre.append(cost)
+        tw.append(weight)
+    k = _BLOCK_LENGTH.get(kind)
+    if k is not None:
+        return _reversals(k, P, W, D, comp, pre)
+    gap = 1 if nested else 2
+    if kind is Neighborhood.EX_NO_APEX:
+        return _exchanges(gap, P, W, D, comp, pre, tw, limit)
+    if kind is Neighborhood.FSH_NO_APEX:
+        return _forward_shifts(gap, P, W, D, comp, pre)
+    return _backward_shifts(gap, P, W, D, comp, pre)
+
+
+def _reversals(k, P, W, D, comp, pre):
+    # Reverse positions i..j: O(k) per candidate.
+    total = pre[-1]
+    for i in range(len(P) - k + 1):
+        j = i + k - 1
+        t = comp[i] - P[i]
+        value = pre[i] + total - pre[j + 1]
+        for m in range(j, i - 1, -1):
+            t += P[m]
+            if t > D[m]:
+                value += W[m] * (t - D[m])
+        yield i, j, value
+
+
+def _exchanges(gap, P, W, D, comp, pre, tw, limit):
+    # Swap positions i < j: the jobs between move by delta = P[j] - P[i].
+    # max(0, L + delta) >= max(0, L) + min(delta, 0) * [L > 0], so their
+    # cost is at least its value now plus min(delta, 0) times their tardy
+    # weight, and at least 0; only a candidate that this bound leaves below
+    # the scan's best gets the O(j - i) scan of its inner jobs.
+    n = len(P)
+    total = pre[n]
+    for i in range(n):
+        pi, wi, di = P[i], W[i], D[i]
+        start = comp[i] - pi
+        head = pre[i] + total
+        inner_pre, inner_tw = pre[i + 1], tw[i + 1]
+        for j in range(i + gap, n):
+            pj = P[j]
+            delta = pj - pi
+            value = head - pre[j + 1]
+            if start + pj > D[j]:
+                value += W[j] * (start + pj - D[j])
+            if comp[j] > di:
+                value += wi * (comp[j] - di)
+            bound = pre[j] - inner_pre
+            if delta < 0:
+                bound += delta * (tw[j] - inner_tw)
+                if bound < 0:
+                    bound = 0
+            if delta == 0 or value + bound >= limit[0]:
+                yield i, j, value + bound
+                continue
+            for m in range(i + 1, j):
+                if comp[m] + delta > D[m]:
+                    value += W[m] * (comp[m] + delta - D[m])
+            yield i, j, value
+
+
+def _forward_shifts(gap, P, W, D, comp, pre):
+    # Job i to position j > i: jobs i+1..j move earlier by P[i], summed as
+    # j rises, so O(1) per candidate.
+    n = len(P)
+    total = pre[n]
+    for i in range(n - gap):
+        pi, wi, di = P[i], W[i], D[i]
+        head = pre[i] + total
+        moved = 0
+        for m in range(i + 1, i + gap):
+            if comp[m] - pi > D[m]:
+                moved += W[m] * (comp[m] - pi - D[m])
+        for j in range(i + gap, n):
+            if comp[j] - pi > D[j]:
+                moved += W[j] * (comp[j] - pi - D[j])
+            value = head + moved - pre[j + 1]
+            if comp[j] > di:
+                value += wi * (comp[j] - di)
+            yield i, j, value
+
+
+def _backward_shifts(gap, P, W, D, comp, pre):
+    # Job i to position j < i: jobs j..i-1 move later by P[i]; per i, the
+    # moved cost of j..i-1 is their total less that of 0..j-1.
+    n = len(P)
+    total = pre[n]
+    for i in range(gap, n):
+        pi, wi, di = P[i], W[i], D[i]
+        moved = [W[m] * (comp[m] + pi - D[m]) if comp[m] + pi > D[m] else 0
+                 for m in range(i)]
+        rest = sum(moved)
+        tail = total - pre[i + 1]
+        start = 0
+        for j in range(i - gap + 1):
+            value = pre[j] + rest + tail
+            if start + pi > di:
+                value += wi * (start + pi - di)
+            yield i, j, value
+            rest -= moved[j]
+            start = comp[j]
+
+
 def descend(
     instance: Instance,
     start: Sequence,
@@ -116,17 +252,18 @@ def descend(
     """Descend from `start`, whose objective is `start_objective`, within
     one neighborhood until no move improves.
 
-    Only candidate sequences are evaluated (and counted).  Scans run in the
-    neighborhood's deterministic move order, and a candidate that improves
-    on its scan's best goes to `trace`.  A scan stops when the counter
-    reaches `max_candidates` evaluations of this call (adaptive's probe cap)
-    or the run's `config.max_evaluations`; `budget_hit` says the budget
-    stopped one first (the cap wins a tie).  The best improving candidate of
-    a stopped scan is still accepted, so the returned sequence is always the
-    best sequence evaluated.
+    Only candidate sequences are evaluated (and counted): each scan builds
+    its tables once and `_candidates` scores every move from the span it
+    changes.  Scans run in the neighborhood's deterministic move order, and
+    a candidate that improves on its scan's best goes to `trace`.  A scan
+    stops when the counter reaches `max_candidates` evaluations of this call
+    (adaptive's probe cap) or the run's `config.max_evaluations`;
+    `budget_hit` says the budget stopped one first (the cap wins a tie).
+    The best improving candidate of a stopped scan is still accepted, so the
+    returned sequence is always the best sequence evaluated.
     """
     current, current_obj = tuple(start), start_objective
-    moves = enumerate_moves(kind, instance.n, config.nested)
+    first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
     entry = counter.count
     # One stop count per call; a limit that is not set is none.
     cap = math.inf if max_candidates is None else entry + max_candidates
@@ -134,25 +271,27 @@ def descend(
     stopped = False
 
     while True:
-        best_seq, best_obj = None, current_obj
-        for move in moves:
+        best, best_obj = None, current_obj
+        # The scan's best, which the EX bound screens against.
+        limit = [best_obj]
+        for i, j, obj in _candidates(instance, current, kind, config.nested,
+                                     limit):
             if counter.count >= stop:
                 stopped = True
                 break
-            cand = apply_move(current, move)
-            obj = objective_value(instance, cand)
             counter.tick()
             # The run's best is never above the scan's, so only a scan
             # improvement can be a new point of the trace.
             if obj < best_obj:
                 trace.record_if_improved(counter, obj)
-                best_obj, best_seq = obj, cand
-                if config.descent_rule is DescentRule.FIRST_IMPROVEMENT:
+                best_obj = limit[0] = obj
+                best = Move(kind, i, j)
+                if first:
                     break
-        if best_seq is None:
+        if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
-        current, current_obj = best_seq, best_obj
+        current, current_obj = apply_move(current, best), best_obj
 
     return DescentResult(current, current_obj, counter.count - entry,
                          stopped and stop < cap)

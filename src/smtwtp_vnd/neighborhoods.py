@@ -18,7 +18,6 @@ pairs), which `neighborhood_size` counts in closed form.
 """
 
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Sequence
@@ -59,7 +58,6 @@ class InvalidMoveError(ValueError):
     """A move whose positions are out of range for the given sequence."""
 
 
-@lru_cache(maxsize=None)
 def enumerate_moves(
     kind: Neighborhood, n: int, nested: bool = False
 ) -> tuple[Move, ...]:

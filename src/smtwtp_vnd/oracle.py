@@ -1,10 +1,12 @@
 """Exact ground truth for small instances.
 
 Used to certify search results: exhaustive optimum for n <= 10 and an
-enumeration-based local-optimality check.  Only the objective is written
-out separately from the descent engine; the check enumerates and applies
-moves with the engine's own move code, which the closed-form sizes and
-the reference move definitions in the tests pin independently.
+enumeration-based local-optimality check.  The certificate's scan shares no
+code with the engine's: it builds every neighbour with `enumerate_moves`
+and `apply_move` and scores it with its own from-scratch objective, while
+the engine scores candidates by delta evaluation and applies only the
+moves it accepts.  The closed-form sizes, the reference move definitions
+in the tests and the differential sweep pin the move code.
 """
 
 import math

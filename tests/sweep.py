@@ -6,17 +6,21 @@ Runs the grid below in a child process on this tree's `src`, and with
 `--against` in a second child process on OTHER_SRC (a directory that holds
 an `smtwtp_vnd` package, such as the `src` of another checkout).  Each run
 is hashed from its best sequence, best objective, trace points, evaluation
-total and termination reason, as in the golden corpus.  The sweep prints
-every configuration whose hashes differ and the aggregate digest of each
-tree, and exits non-zero on any difference.
+total and termination reason, as in the golden corpus.  The move code is
+hashed too, since the engine no longer runs it per candidate: for each n,
+kind and nesting, the `enumerate_moves` list, the `neighborhood_size` and
+`apply_move` of every move on a fixed sequence.  The sweep prints every
+configuration whose hashes differ and the aggregate digest of each tree,
+and exits non-zero on any difference.
 
 The two children get different PYTHONHASHSEED values, so `--against src`
 checks that runs do not depend on hash order.
 
 The grid: n = 1-12, 15, 20 and 30; two instances each; every strategy x
 descent rule x nesting x initial order; no budget or a budget of 37
-evaluations; probe budget 1 or 100.  That is 4,320 runs.  Standard library
-only.
+evaluations; probe budget 1 or 100.  That is 4,320 runs.  The move code
+is hashed for n = 1-15 x kind x nesting, 210 configurations.  Standard
+library only.
 """
 
 import argparse
@@ -33,17 +37,35 @@ SIZES = (*range(1, 13), 15, 20, 30)
 INSTANCES = ((0, 0.2, 0.6), (1000, 0.6, 0.2))
 BUDGETS = (None, 37)
 PROBE_BUDGETS = (1, 100)
+MOVE_SIZES = range(1, 16)
 THIS_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def sha256_json(record) -> str:
+    text = json.dumps(record, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run_hashes() -> dict[str, str]:
-    """Hash of every run of the grid, by configuration key."""
+    """Hash of every run of the grid and of the move code, by configuration
+    key."""
     from smtwtp_vnd import (
-        DescentRule, InitialOrder, Strategy, StrategyConfig,
-        generate_instance, run,
+        DescentRule, InitialOrder, Neighborhood, Strategy, StrategyConfig,
+        apply_move, enumerate_moves, generate_instance, neighborhood_size,
+        run,
     )
 
     hashes = {}
+    for n, kind, nested in itertools.product(
+        MOVE_SIZES, Neighborhood, (False, True)
+    ):
+        moves = enumerate_moves(kind, n, nested)
+        order = tuple(range(n))
+        hashes[f"moves n={n} {kind.value} nested={nested}"] = sha256_json([
+            [[move.kind.value, move.i, move.j] for move in moves],
+            neighborhood_size(kind, n, nested),
+            [list(apply_move(order, move)) for move in moves],
+        ])
     for n, (offset, rdd, tf) in itertools.product(SIZES, INSTANCES):
         inst = generate_instance(n, n + offset, rdd, tf)
         for strategy, rule, nested, initial, budget, probe in itertools.product(
@@ -65,8 +87,7 @@ def run_hashes() -> dict[str, str]:
             key = (f"n={n} seed={n + offset} {strategy.value} {rule.value} "
                    f"nested={nested} initial={initial.value} "
                    f"budget={budget} probe={probe}")
-            text = json.dumps(record, separators=(",", ":"))
-            hashes[key] = hashlib.sha256(text.encode()).hexdigest()
+            hashes[key] = sha256_json(record)
     return hashes
 
 
@@ -108,7 +129,7 @@ def main(argv=None) -> int:
     children = [start_child(src, seed) for seed, src in enumerate(trees, 1)]
     results = [collect(src, child) for src, child in zip(trees, children)]
     for seed, (src, hashes) in enumerate(zip(trees, results), 1):
-        print(f"{digest(hashes)}  {len(hashes)} runs  {src} "
+        print(f"{digest(hashes)}  {len(hashes)} configurations  {src} "
               f"(PYTHONHASHSEED={seed})")
     if len(results) == 1:
         return 0

