@@ -1,10 +1,10 @@
-"""The from-scratch descent, kept as the reference for `engine.descend`.
+"""The from-scratch descent, the reference for `engine.descend`.
 
-This is the engine's descent as it was before delta evaluation: every
-candidate is built with `apply_move` and scored with `objective_value`.
-The differential tests run `engine.run` with `engine.descend` replaced by
-this function and require identical results, so the delta kernel must
-reproduce its evaluation counts, traces and tie breaks exactly.
+Every candidate is built with `apply_move` and scored with
+`objective_value`.  The differential tests run `engine.run` with
+`engine.descend` replaced by this function and require identical results,
+so the delta kernel must reproduce its evaluation counts, traces and tie
+breaks exactly.
 """
 
 import math
