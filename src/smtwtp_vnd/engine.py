@@ -11,8 +11,11 @@ short capped descents and continues in the one whose probe got furthest.
 Every scanned candidate is one evaluation and ticks the shared counter, so
 runs of different strategies are comparable on the evaluation axis alone.
 A candidate is scored from the span of positions its move changes, against
-tables built once per scan; an exchange whose exact lower bound shows it
-cannot improve on the scan's best is not scored further, and counts too.
+tables built once per scan.  A reversal descent keeps its tables and each
+block's change of cost across its scans, and after an accept re-scores only
+the blocks that overlap the accepted one; every block it yields still
+counts.  An exchange whose exact lower bound shows it cannot improve on the
+scan's best is not scored further, and counts too.
 """
 
 import math
@@ -112,9 +115,10 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
 
 
 def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
-                nested: bool, limit: list) -> Iterator[tuple[int, int, int]]:
-    """Yield `(i, j, value)` for every move `Move(kind, i, j)` on `seq`, in
-    `enumerate_moves` order.
+                nested: bool, objective: int, limit: list, kept: list,
+                accepted: int | None) -> Iterator[tuple[int, int, int]]:
+    """Yield `(i, j, value)` for every move `Move(kind, i, j)` on `seq`,
+    whose objective is `objective`, in `enumerate_moves` order.
 
     `value` is the objective of `apply_move(seq, move)`, scored from the
     span the move changes: every job before or after it keeps its completion
@@ -122,7 +126,18 @@ def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
     at least `limit[0]`, the scan's best, which the caller lowers as the
     scan improves: it cannot go below that, so its value is the bound (at
     most the objective) and its inner span is not scanned.
+
+    A descent passes each of its scans the same list `kept`, and `accepted`:
+    None on its first scan, after that the `i` of the move the previous scan
+    accepted, which turned its `seq` into this one.  A reversal scan keeps
+    its tables and every block's change of cost in `kept`, and a rescan
+    re-scores only the blocks that overlap the accepted one; the others keep
+    their jobs and start times.  The other kinds build their tables from
+    `seq` on every scan.
     """
+    k = _BLOCK_LENGTH.get(kind)
+    if k is not None:
+        return _reversals(instance, seq, k, objective, kept, accepted)
     p, w, d = instance.processing, instance.weight, instance.due
     P = [p[job] for job in seq]
     W = [w[job] for job in seq]
@@ -136,9 +151,6 @@ def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
             weight += wm
         pre.append(cost)
         tw.append(weight)
-    k = _BLOCK_LENGTH.get(kind)
-    if k is not None:
-        return _reversals(k, P, W, D, comp, pre)
     gap = 1 if nested else 2
     if kind is Neighborhood.EX_NO_APEX:
         return _exchanges(gap, P, W, D, comp, pre, tw, limit)
@@ -147,18 +159,48 @@ def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
     return _backward_shifts(gap, P, W, D, comp, pre)
 
 
-def _reversals(k, P, W, D, comp, pre):
-    # Reverse positions i..j: O(k) per candidate.
-    total = pre[-1]
-    for i in range(len(P) - k + 1):
-        j = i + k - 1
+def _reversals(instance, seq, k, objective, kept, accepted):
+    # Reverse positions i..i+k-1: change[i] is what that adds to the cost.
+    # Reversing a block keeps its length, so an accept at a changes the jobs
+    # and completion times of a..a+k-1 only, and only the blocks that
+    # overlap them are re-scored, in O(k) each.  Every entry is filled
+    # before the first is yielded: a scan may be abandoned midway.
+    n = len(seq)
+    if accepted is None:
+        p, w, d = instance.processing, instance.weight, instance.due
+        P = [p[job] for job in seq]
+        W = [w[job] for job in seq]
+        D = [d[job] for job in seq]
+        comp, change = [0] * n, [0] * (n - k + 1)
+        kept[:] = P, W, D, comp, change
+        lo, hi = 0, n - k
+    else:
+        P, W, D, comp, change = kept
+        a, b = accepted, accepted + k
+        P[a:b] = P[a:b][::-1]
+        W[a:b] = W[a:b][::-1]
+        D[a:b] = D[a:b][::-1]
+        lo, hi = max(0, a - k + 1), min(n - k, a + k - 1)
+    # Completion times from lo on, whose start no accept moved, and the cost
+    # of positions lo..m-1 as pre[m - lo].
+    t = comp[lo - 1] if lo else 0
+    pre, cost = [0], 0
+    for m in range(lo, hi + k):
+        t += P[m]
+        comp[m] = t
+        if t > D[m]:
+            cost += W[m] * (t - D[m])
+        pre.append(cost)
+    for i in range(lo, hi + 1):
         t = comp[i] - P[i]
-        value = pre[i] + total - pre[j + 1]
-        for m in range(j, i - 1, -1):
+        value = pre[i - lo] - pre[i - lo + k]
+        for m in range(i + k - 1, i - 1, -1):
             t += P[m]
             if t > D[m]:
                 value += W[m] * (t - D[m])
-        yield i, j, value
+        change[i] = value
+    return zip(range(n - k + 1), range(k - 1, n),
+               [objective + c for c in change])
 
 
 def _exchanges(gap, P, W, D, comp, pre, tw, limit):
@@ -252,15 +294,16 @@ def descend(
     """Descend from `start`, whose objective is `start_objective`, within
     one neighborhood until no move improves.
 
-    Only candidate sequences are evaluated (and counted): each scan builds
-    its tables once and `_candidates` scores every move from the span it
-    changes.  Scans run in the neighborhood's deterministic move order, and
-    a candidate that improves on its scan's best goes to `trace`.  A scan
-    stops when the counter reaches `max_candidates` evaluations of this call
-    (adaptive's probe cap) or the run's `config.max_evaluations`;
-    `budget_hit` says the budget stopped one first (the cap wins a tie).
-    The best improving candidate of a stopped scan is still accepted, so the
-    returned sequence is always the best sequence evaluated.
+    Only candidate sequences are evaluated (and counted): `_candidates`
+    scores every move from the span it changes, and a reversal rescan
+    re-scores only the blocks that the accepted move touched.  Scans run in
+    the neighborhood's deterministic move order, and a candidate that
+    improves on its scan's best goes to `trace`.  A scan stops when the
+    counter reaches `max_candidates` evaluations of this call (adaptive's
+    probe cap) or the run's `config.max_evaluations`; `budget_hit` says the
+    budget stopped one first (the cap wins a tie).  The best improving
+    candidate of a stopped scan is still accepted, so the returned sequence
+    is always the best sequence evaluated.
     """
     current, current_obj = tuple(start), start_objective
     first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
@@ -269,13 +312,15 @@ def descend(
     cap = math.inf if max_candidates is None else entry + max_candidates
     stop = min(cap, config.max_evaluations or math.inf)
     stopped = False
+    # What reversal scans keep from one to the next, and the last accept.
+    kept, accepted = [], None
 
     while True:
         best, best_obj = None, current_obj
         # The scan's best, which the EX bound screens against.
         limit = [best_obj]
         for i, j, obj in _candidates(instance, current, kind, config.nested,
-                                     limit):
+                                     current_obj, limit, kept, accepted):
             if counter.count >= stop:
                 stopped = True
                 break
@@ -292,6 +337,7 @@ def descend(
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
         current, current_obj = apply_move(current, best), best_obj
+        accepted = best.i
 
     return DescentResult(current, current_obj, counter.count - entry,
                          stopped and stop < cap)

@@ -12,6 +12,7 @@ from smtwtp_vnd import (
     DescentRule,
     InitialOrder,
     Instance,
+    Move,
     Neighborhood,
     Strategy,
     StrategyConfig,
@@ -43,23 +44,63 @@ def test_every_candidate_value_is_exact(kind, nested):
     for n in range(1, 31):
         for inst in instances(rng, n):
             seq = tuple(rng.sample(range(n), n))
+            objective = objective_value(inst, seq)
             moves = enumerate_moves(kind, n, nested)
             exact = [objective_value(inst, apply_move(seq, m)) for m in moves]
+
+            def first_scan(limit):
+                return engine._candidates(inst, seq, kind, nested, objective,
+                                          [limit], [], None)
+
             # Screen off: every move, in enumerate_moves order, scored exactly.
-            scan = list(engine._candidates(inst, seq, kind, nested, [math.inf]))
+            scan = list(first_scan(math.inf))
             assert [(i, j) for i, j, _ in scan] == [(m.i, m.j) for m in moves]
             assert [value for _, _, value in scan] == exact
             # Screen always on: what EX yields is its lower bound.
-            scan = engine._candidates(inst, seq, kind, nested, [-math.inf])
+            scan = first_scan(-math.inf)
             assert all(value <= e for (_, _, value), e in zip(scan, exact))
             # Screened against the incumbent: a value below it is exact, and
             # one that is not leaves no improving move unseen.
-            limit = objective_value(inst, seq)
-            scan = engine._candidates(inst, seq, kind, nested, [limit])
-            for (_, _, value), e in zip(scan, exact):
-                assert value <= e and (value < limit) == (e < limit)
-                if value < limit:
+            for (_, _, value), e in zip(first_scan(objective), exact):
+                assert value <= e and (value < objective) == (e < objective)
+                if value < objective:
                     assert value == e
+
+
+@pytest.mark.parametrize("kind", [Neighborhood.APEX, Neighborhood.BR4,
+                                  Neighborhood.BR5, Neighborhood.BR6])
+def test_chained_rescans_are_exact(kind):
+    # A reversal rescan re-scores only the blocks that overlap the accepted
+    # one.  Accept a random chain of blocks, the first and the last among
+    # them, and abandon scans after a random number of candidates, as first
+    # improvement, the probe cap and the budget do: every value a rescan
+    # yields is still the objective of its move.
+    rng = random.Random(kind.value)
+    k = engine._BLOCK_LENGTH[kind]
+    checked = 0
+    for n in range(1, 31):
+        moves = enumerate_moves(kind, n)
+        for inst in instances(rng, n):
+            seq = tuple(rng.sample(range(n), n))
+            objective = objective_value(inst, seq)
+            chain = ([0, n - k] + [rng.randrange(n - k + 1) for _ in range(8)]
+                     if moves else [])
+            rng.shuffle(chain)
+            kept = []
+            for a in [None, *chain]:
+                if a is not None:
+                    seq = apply_move(seq, Move(kind, a, a + k - 1))
+                    objective = objective_value(inst, seq)
+                scan = engine._candidates(inst, seq, kind, False, objective,
+                                          [objective], kept, a)
+                taken = rng.randint(0, len(moves))
+                for (i, j, value), move in itertools.islice(
+                        zip(scan, moves), taken):
+                    assert (i, j) == (move.i, move.j)
+                    assert value == objective_value(
+                        inst, apply_move(seq, move))
+                    checked += 1
+    assert checked > 1000
 
 
 def test_runs_equal_the_reference_descent(monkeypatch):
