@@ -59,7 +59,7 @@ def _parse_indices(arg: str,
     if arg.strip().lower() == "all":
         return None
     try:
-        return tuple(parse_int(part) for part in arg.split(",") if part.strip())
+        return tuple(parse_int(part) for part in arg.split(","))
     except ValueError:
         parser.error(f"--index must be 'all' or comma-separated integers, got {arg!r}")
 
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             initial=InitialOrder(args.initial),
             best_known_file=args.best_known,
         )
-    except ValueError as exc:  # any value out of range, repeated or empty --index
+    except ValueError as exc:  # any value out of range or repeated
         parser.error(str(exc))
 
     try:

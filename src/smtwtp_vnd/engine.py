@@ -10,12 +10,13 @@ short capped descents and continues in the one whose probe got furthest.
 
 Every scanned candidate is one evaluation and ticks the shared counter, so
 runs of different strategies are comparable on the evaluation axis alone.
-A candidate is scored from the span of positions its move changes, against
-tables built once per scan.  A reversal descent keeps its tables and each
-block's change of cost across its scans, and after an accept re-scores only
-the blocks that overlap the accepted one; every block it yields still
-counts.  An exchange whose exact lower bound shows it cannot improve on the
-scan's best is not scored further, and counts too.
+A candidate's change of objective is scored from the span of positions its
+move changes.  A descent keeps each position's job data and completion time
+across its scans and, after an accept, refreshes only the accepted span; a
+reversal descent also keeps each block's change and re-scores only the
+blocks that overlap that span.  Every candidate a scan yields counts.  An
+exchange whose exact lower bound shows it cannot improve on the scan's best
+is not scored further, and counts too.
 """
 
 import math
@@ -23,7 +24,6 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import accumulate
 from typing import NamedTuple, get_args
 
 from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
@@ -114,35 +114,26 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
     return tuple(order)
 
 
-def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
-                nested: bool, objective: int, limit: list, kept: list,
-                accepted: int | None) -> Iterator[tuple[int, int, int]]:
-    """Yield `(i, j, value)` for every move `Move(kind, i, j)` on `seq`,
-    whose objective is `objective`, in `enumerate_moves` order.
+def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
+          change: list, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Yield `(i, j, c)` for every move `Move(kind, i, j)`, in
+    `enumerate_moves` order, where `c` is the move's change of objective.
 
-    `value` is the objective of `apply_move(seq, move)`, scored from the
-    span the move changes: every job before or after it keeps its completion
-    time.  The one exception is an EX candidate whose exact lower bound is
-    at least `limit[0]`, the scan's best, which the caller lowers as the
-    scan improves: it cannot go below that, so its value is the bound (at
-    most the objective) and its inner span is not scanned.
-
-    A descent passes each of its scans the same list `kept`, and `accepted`:
-    None on its first scan, after that the `i` of the move the previous scan
-    accepted, which turned its `seq` into this one.  A reversal scan keeps
-    its tables and every block's change of cost in `kept`, and a rescan
-    re-scores only the blocks that overlap the accepted one; the others keep
-    their jobs and start times.  The other kinds build their tables from
-    `seq` on every scan.
+    `tables` holds the job data and completion time at each position of the
+    sequence, and `lo..hi` is the span whose jobs changed since the previous
+    scan (every position on the first).  A candidate is scored from the span
+    it changes: every job before or after it keeps its completion time.  The
+    one exception is an EX candidate whose exact lower bound is at least
+    `limit[0]`, the scan's best change, which the caller lowers as the scan
+    improves: it cannot go below that, so `c` is the bound (at most the
+    exact change) and its inner span is not scanned.  A reversal descent keeps each block's
+    change in `change` across its scans and re-scores only the blocks that
+    overlap `lo..hi`.
     """
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
-        return _reversals(instance, seq, k, objective, kept, accepted)
-    p, w, d = instance.processing, instance.weight, instance.due
-    P = [p[job] for job in seq]
-    W = [w[job] for job in seq]
-    D = [d[job] for job in seq]
-    comp = list(accumulate(P))           # completion time at each position
+        return _reversals(k, *tables, change, lo, hi)
+    P, W, D, comp = tables
     pre, tw = [0], [0]                   # cost, tardy weight of positions < m
     cost = weight = 0
     for c, wm, dm in zip(comp, W, D):
@@ -159,37 +150,17 @@ def _candidates(instance: Instance, seq: Sequence, kind: Neighborhood,
     return _backward_shifts(gap, P, W, D, comp, pre)
 
 
-def _reversals(instance, seq, k, objective, kept, accepted):
+def _reversals(k, P, W, D, comp, change, lo, hi):
     # Reverse positions i..i+k-1: change[i] is what that adds to the cost.
-    # Reversing a block keeps its length, so an accept at a changes the jobs
-    # and completion times of a..a+k-1 only, and only the blocks that
-    # overlap them are re-scored, in O(k) each.  Every entry is filled
-    # before the first is yielded: a scan may be abandoned midway.
-    n = len(seq)
-    if accepted is None:
-        p, w, d = instance.processing, instance.weight, instance.due
-        P = [p[job] for job in seq]
-        W = [w[job] for job in seq]
-        D = [d[job] for job in seq]
-        comp, change = [0] * n, [0] * (n - k + 1)
-        kept[:] = P, W, D, comp, change
-        lo, hi = 0, n - k
-    else:
-        P, W, D, comp, change = kept
-        a, b = accepted, accepted + k
-        P[a:b] = P[a:b][::-1]
-        W[a:b] = W[a:b][::-1]
-        D[a:b] = D[a:b][::-1]
-        lo, hi = max(0, a - k + 1), min(n - k, a + k - 1)
-    # Completion times from lo on, whose start no accept moved, and the cost
-    # of positions lo..m-1 as pre[m - lo].
-    t = comp[lo - 1] if lo else 0
-    pre, cost = [0], 0
+    # Only the blocks that overlap lo..hi have new jobs or completion times,
+    # and each is re-scored in O(k).  Every entry is filled before the first
+    # is yielded: a scan may be abandoned midway.
+    n = len(P)
+    lo, hi = max(0, lo - k + 1), min(n - k, hi)
+    pre, cost = [0], 0                   # cost of positions lo..m-1
     for m in range(lo, hi + k):
-        t += P[m]
-        comp[m] = t
-        if t > D[m]:
-            cost += W[m] * (t - D[m])
+        if comp[m] > D[m]:
+            cost += W[m] * (comp[m] - D[m])
         pre.append(cost)
     for i in range(lo, hi + 1):
         t = comp[i] - P[i]
@@ -199,8 +170,7 @@ def _reversals(instance, seq, k, objective, kept, accepted):
             if t > D[m]:
                 value += W[m] * (t - D[m])
         change[i] = value
-    return zip(range(n - k + 1), range(k - 1, n),
-               [objective + c for c in change])
+    return zip(range(n - k + 1), range(k - 1, n), change)
 
 
 def _exchanges(gap, P, W, D, comp, pre, tw, limit):
@@ -210,11 +180,10 @@ def _exchanges(gap, P, W, D, comp, pre, tw, limit):
     # weight, and at least 0; only a candidate that this bound leaves below
     # the scan's best gets the O(j - i) scan of its inner jobs.
     n = len(P)
-    total = pre[n]
     for i in range(n):
         pi, wi, di = P[i], W[i], D[i]
         start = comp[i] - pi
-        head = pre[i] + total
+        head = pre[i]
         inner_pre, inner_tw = pre[i + 1], tw[i + 1]
         for j in range(i + gap, n):
             pj = P[j]
@@ -242,10 +211,9 @@ def _forward_shifts(gap, P, W, D, comp, pre):
     # Job i to position j > i: jobs i+1..j move earlier by P[i], summed as
     # j rises, so O(1) per candidate.
     n = len(P)
-    total = pre[n]
     for i in range(n - gap):
         pi, wi, di = P[i], W[i], D[i]
-        head = pre[i] + total
+        head = pre[i]
         moved = 0
         for m in range(i + 1, i + gap):
             if comp[m] - pi > D[m]:
@@ -263,13 +231,12 @@ def _backward_shifts(gap, P, W, D, comp, pre):
     # Job i to position j < i: jobs j..i-1 move later by P[i]; per i, the
     # moved cost of j..i-1 is their total less that of 0..j-1.
     n = len(P)
-    total = pre[n]
     for i in range(gap, n):
         pi, wi, di = P[i], W[i], D[i]
         moved = [W[m] * (comp[m] + pi - D[m]) if comp[m] + pi > D[m] else 0
                  for m in range(i)]
         rest = sum(moved)
-        tail = total - pre[i + 1]
+        tail = -pre[i + 1]
         start = 0
         for j in range(i - gap + 1):
             value = pre[j] + rest + tail
@@ -294,16 +261,18 @@ def descend(
     """Descend from `start`, whose objective is `start_objective`, within
     one neighborhood until no move improves.
 
-    Only candidate sequences are evaluated (and counted): `_candidates`
-    scores every move from the span it changes, and a reversal rescan
-    re-scores only the blocks that the accepted move touched.  Scans run in
-    the neighborhood's deterministic move order, and a candidate that
-    improves on its scan's best goes to `trace`.  A scan stops when the
-    counter reaches `max_candidates` evaluations of this call (adaptive's
-    probe cap) or the run's `config.max_evaluations`; `budget_hit` says the
-    budget stopped one first (the cap wins a tie).  The best improving
-    candidate of a stopped scan is still accepted, so the returned sequence
-    is always the best sequence evaluated.
+    Only candidate sequences are evaluated (and counted): `_scan` scores
+    every move's change of objective from the span it changes.  The
+    descent builds the position tables of `start` once, and after each
+    accept refreshes them only on the accepted move's span, the one span
+    whose jobs it permutes.  Scans run in the neighborhood's deterministic
+    move order, and a candidate that improves on its scan's best goes to
+    `trace`.  A scan stops when the counter reaches `max_candidates`
+    evaluations of this call (adaptive's probe cap) or the run's
+    `config.max_evaluations`; `budget_hit` says the budget stopped one
+    first (the cap wins a tie).  The best improving candidate of a stopped
+    scan is still accepted, so the returned sequence is always the best
+    sequence evaluated.
     """
     current, current_obj = tuple(start), start_objective
     first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
@@ -312,32 +281,48 @@ def descend(
     cap = math.inf if max_candidates is None else entry + max_candidates
     stop = min(cap, config.max_evaluations or math.inf)
     stopped = False
-    # What reversal scans keep from one to the next, and the last accept.
-    kept, accepted = [], None
+    p, w, d = instance.processing, instance.weight, instance.due
+    n = len(current)
+    # Job data and completion time by position, and the change of each
+    # reversal block (n - k + 1 <= n of them), kept across the scans.
+    P, W, D, comp, change = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    tables = P, W, D, comp
+    lo, hi = 0, n - 1
 
     while True:
-        best, best_obj = None, current_obj
+        # Only positions lo..hi (all of them at first) hold new jobs, so
+        # only their completion times moved.
+        t = comp[lo - 1] if lo else 0
+        for m in range(lo, hi + 1):
+            job = current[m]
+            P[m] = pm = p[job]
+            W[m] = w[job]
+            D[m] = d[job]
+            t += pm
+            comp[m] = t
+        best, best_change = None, 0
         # The scan's best, which the EX bound screens against.
-        limit = [best_obj]
-        for i, j, obj in _candidates(instance, current, kind, config.nested,
-                                     current_obj, limit, kept, accepted):
+        limit = [0]
+        for i, j, c in _scan(kind, config.nested, tables, limit, change,
+                             lo, hi):
             if counter.count >= stop:
                 stopped = True
                 break
             counter.tick()
             # The run's best is never above the scan's, so only a scan
             # improvement can be a new point of the trace.
-            if obj < best_obj:
-                trace.record_if_improved(counter, obj)
-                best_obj = limit[0] = obj
+            if c < best_change:
+                trace.record_if_improved(counter, current_obj + c)
+                best_change = limit[0] = c
                 best = Move(kind, i, j)
                 if first:
                     break
         if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
-        current, current_obj = apply_move(current, best), best_obj
-        accepted = best.i
+        current = apply_move(current, best)
+        current_obj += best_change
+        lo, hi = min(best.i, best.j), max(best.i, best.j)
 
     return DescentResult(current, current_obj, counter.count - entry,
                          stopped and stop < cap)

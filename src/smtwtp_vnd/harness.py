@@ -73,13 +73,15 @@ class ExperimentSpec:
                 raise ValueError(
                     f"instance indices {bad} outside [1, {self.count}]"
                 )
-            duplicates = sorted(
-                i for i, k in Counter(self.instance_indices).items() if k > 1
-            )
-            if duplicates:
-                raise ValueError(f"instance indices {duplicates} repeated")
         for strategy in self.strategies:  # bad run settings fail here
             self.config(strategy, self.seed)
+        # Cells are keyed by (index, strategy, seed): a repeat has no cell.
+        for name, values in (
+                ("instance indices", self.instance_indices or ()),
+                ("strategies", [s.value for s in self.strategies])):
+            repeated = sorted(v for v, k in Counter(values).items() if k > 1)
+            if repeated:
+                raise ValueError(f"{name} {repeated} repeated")
 
     def config(self, strategy: Strategy, seed: int) -> StrategyConfig:
         """The configuration of this experiment's (strategy, seed) runs."""

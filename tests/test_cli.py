@@ -121,8 +121,10 @@ def test_cli_refuses_output_of_another_run(tmp_path, capsys):
 
 
 def test_cli_malformed_index_is_a_usage_error(tmp_path):
-    # int() reads 1_0 as 10, Arabic-Indic digits as ASCII ones and +1 as 1.
-    for arg in ("1,two", ",", "1_0", "\u0663", "\u0661", "+1"):
+    # int() reads 1_0 as 10, Arabic-Indic digits as ASCII ones and +1 as 1;
+    # an empty part is no index either.
+    for arg in ("1,two", ",", "1_0", "\u0663", "\u0661", "+1", "1,,2", "1,",
+                ",1"):
         with pytest.raises(SystemExit) as excinfo:
             main(base_args(tmp_path) + ["--index", arg])
         assert excinfo.value.code == 2

@@ -322,6 +322,16 @@ def test_experiment_spec_rejects_duplicate_indices(tmp_path):
         make_spec(tmp_path, count=4, instance_indices=(3, 2, 1, 2, 3))
 
 
+def test_experiment_spec_rejects_repeated_strategies(tmp_path):
+    # A repeated strategy has no cell of its own, alone or among others.
+    for strategies in [(Strategy.FIXED, Strategy.FIXED),
+                       (Strategy.FIXED, Strategy.FIXED, Strategy.RANDOM)]:
+        with pytest.raises(ValueError,
+                           match=r"strategies \['fixed'\] repeated"):
+            make_spec(tmp_path, strategies=strategies)
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_spec_requires_strategies(tmp_path):
     with pytest.raises(ValueError, match="at least one strategy"):
         make_spec(tmp_path, strategies=())

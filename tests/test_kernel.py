@@ -10,10 +10,11 @@ import pytest
 
 from smtwtp_vnd import (
     DescentRule,
+    EvalCounter,
     InitialOrder,
     Instance,
-    Move,
     Neighborhood,
+    RunTrace,
     Strategy,
     StrategyConfig,
     apply_move,
@@ -37,6 +38,13 @@ def instances(rng: random.Random, n: int):
     yield Instance(inst.processing, inst.weight, (0,) * n)
 
 
+def position_tables(inst: Instance, seq):
+    """Job data and completion time at each position of `seq`."""
+    P = [inst.processing[job] for job in seq]
+    return (P, [inst.weight[job] for job in seq],
+            [inst.due[job] for job in seq], list(itertools.accumulate(P)))
+
+
 @pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("kind", list(Neighborhood))
 def test_every_candidate_value_is_exact(kind, nested):
@@ -46,60 +54,76 @@ def test_every_candidate_value_is_exact(kind, nested):
             seq = tuple(rng.sample(range(n), n))
             objective = objective_value(inst, seq)
             moves = enumerate_moves(kind, n, nested)
-            exact = [objective_value(inst, apply_move(seq, m)) for m in moves]
+            exact = [objective_value(inst, apply_move(seq, m)) - objective
+                     for m in moves]
 
             def first_scan(limit):
-                return engine._candidates(inst, seq, kind, nested, objective,
-                                          [limit], [], None)
+                return engine._scan(kind, nested, position_tables(inst, seq),
+                                    [limit], [0] * n, 0, n - 1)
 
             # Screen off: every move, in enumerate_moves order, scored exactly.
             scan = list(first_scan(math.inf))
             assert [(i, j) for i, j, _ in scan] == [(m.i, m.j) for m in moves]
-            assert [value for _, _, value in scan] == exact
+            assert [c for _, _, c in scan] == exact
             # Screen always on: what EX yields is its lower bound.
             scan = first_scan(-math.inf)
-            assert all(value <= e for (_, _, value), e in zip(scan, exact))
-            # Screened against the incumbent: a value below it is exact, and
+            assert all(c <= e for (_, _, c), e in zip(scan, exact))
+            # Screened against the incumbent: a change below 0 is exact, and
             # one that is not leaves no improving move unseen.
-            for (_, _, value), e in zip(first_scan(objective), exact):
-                assert value <= e and (value < objective) == (e < objective)
-                if value < objective:
-                    assert value == e
+            for (_, _, c), e in zip(first_scan(0), exact):
+                assert c <= e and (c < 0) == (e < 0)
+                if c < 0:
+                    assert c == e
 
 
-@pytest.mark.parametrize("kind", [Neighborhood.APEX, Neighborhood.BR4,
-                                  Neighborhood.BR5, Neighborhood.BR6])
-def test_chained_rescans_are_exact(kind):
-    # A reversal rescan re-scores only the blocks that overlap the accepted
-    # one.  Accept a random chain of blocks, the first and the last among
-    # them, and abandon scans after a random number of candidates, as first
-    # improvement, the probe cap and the budget do: every value a rescan
-    # yields is still the objective of its move.
-    rng = random.Random(kind.value)
-    k = engine._BLOCK_LENGTH[kind]
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("kind", list(Neighborhood))
+def test_chained_rescans_are_exact(kind, nested, monkeypatch):
+    # A descent keeps its position tables across scans and refreshes only
+    # each accepted span; a reversal rescan re-scores only the blocks that
+    # overlap it.  Make `descend` accept a random chain of moves, the first
+    # and the last among them, and abandon each scan after a random number of
+    # candidates, as first improvement, the probe cap and the budget do:
+    # every change a rescan yields is still exact (EX's only below 0, with
+    # its screen on).
+    rng = random.Random(f"{kind.value}-{nested}")
+    real_scan = engine._scan
+    config = StrategyConfig(Strategy.FIXED, nested=nested)
+    screened = kind is Neighborhood.EX_NO_APEX
     checked = 0
+
+    def chained(kind, nested, tables, limit, change, lo, hi):
+        nonlocal seq, checked
+        objective = objective_value(inst, seq)
+        scan = real_scan(kind, nested, tables, limit, change, lo, hi)
+        # EX with its screen off; the other kinds ignore the screen.
+        unscreened = real_scan(kind, nested, tables, [math.inf], change,
+                               lo, hi)
+        taken = rng.randint(0, len(moves))
+        for (i, j, c), (_, _, exact_c), move in itertools.islice(
+                zip(scan, unscreened, moves), taken):
+            e = objective_value(inst, apply_move(seq, move)) - objective
+            assert (i, j) == (move.i, move.j) and exact_c == e
+            assert c == e or screened and 0 <= c <= e
+            checked += 1
+        if chain:
+            # A change below 0 makes the descent accept the move.
+            move = chain.pop()
+            seq = apply_move(seq, move)
+            yield move.i, move.j, -1
+
+    monkeypatch.setattr(engine, "_scan", chained)
     for n in range(1, 31):
-        moves = enumerate_moves(kind, n)
+        moves = enumerate_moves(kind, n, nested)
         for inst in instances(rng, n):
-            seq = tuple(rng.sample(range(n), n))
-            objective = objective_value(inst, seq)
-            chain = ([0, n - k] + [rng.randrange(n - k + 1) for _ in range(8)]
+            seq = start = tuple(rng.sample(range(n), n))
+            chain = ([moves[0], moves[-1], *rng.choices(moves, k=8)]
                      if moves else [])
             rng.shuffle(chain)
-            kept = []
-            for a in [None, *chain]:
-                if a is not None:
-                    seq = apply_move(seq, Move(kind, a, a + k - 1))
-                    objective = objective_value(inst, seq)
-                scan = engine._candidates(inst, seq, kind, False, objective,
-                                          [objective], kept, a)
-                taken = rng.randint(0, len(moves))
-                for (i, j, value), move in itertools.islice(
-                        zip(scan, moves), taken):
-                    assert (i, j) == (move.i, move.j)
-                    assert value == objective_value(
-                        inst, apply_move(seq, move))
-                    checked += 1
+            result = engine.descend(
+                inst, start, kind, config, EvalCounter(), RunTrace(),
+                start_objective=objective_value(inst, start))
+            assert not chain and result.sequence == seq
     assert checked > 1000
 
 
