@@ -126,9 +126,9 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
     one exception is an EX candidate whose exact lower bound is at least
     `limit[0]`, the scan's best change, which the caller lowers as the scan
     improves: it cannot go below that, so `c` is the bound (at most the
-    exact change) and its inner span is not scanned.  A reversal descent keeps each block's
-    change in `change` across its scans and re-scores only the blocks that
-    overlap `lo..hi`.
+    exact change) and its inner span is not scanned.  A reversal descent
+    keeps each block's change in `change` across its scans and re-scores
+    only the blocks that overlap `lo..hi`.
     """
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
@@ -157,7 +157,7 @@ def _reversals(k, P, W, D, comp, change, lo, hi):
     # is yielded: a scan may be abandoned midway.
     n = len(P)
     lo, hi = max(0, lo - k + 1), min(n - k, hi)
-    pre, cost = [0], 0                   # cost of positions lo..m-1
+    pre, cost = [0], 0                   # cost of lo..m-1 as pre[m - lo]
     for m in range(lo, hi + k):
         if comp[m] > D[m]:
             cost += W[m] * (comp[m] - D[m])
