@@ -14,9 +14,11 @@ A candidate's change of objective is scored from the span of positions its
 move changes.  A descent keeps each position's job data and completion time
 across its scans and, after an accept, refreshes only the accepted span; a
 reversal descent also keeps each block's change and re-scores only the
-blocks that overlap that span.  Every candidate a scan yields counts.  An
-exchange whose exact lower bound shows it cannot improve on the scan's best
-is not scored further, and counts too.
+blocks that overlap that span.  A scan yields only the candidates that
+improve on its best so far (a reversal scan yields every block), and an
+exchange whose exact lower bound shows it cannot is not scored further.
+The descent still ticks every candidate, in order, the passed-over ones in
+bulk, so counts and traces are those of scoring each one.
 """
 
 import math
@@ -24,6 +26,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, get_args
 
 from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
@@ -115,24 +118,25 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
 
 
 def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
-          change: list, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """Yield `(i, j, c)` for every move `Move(kind, i, j)`, in
-    `enumerate_moves` order, where `c` is the move's change of objective.
+          change: list, lo: int, hi: int,
+          last: int) -> Iterator[tuple[int, int, int, int]]:
+    """Scan the first `last` moves of `kind`, in `enumerate_moves` order,
+    and yield `(t, i, j, c)` when the move `Move(kind, i, j)` at index `t`
+    changes the objective by `c` < `limit[0]`, the scan's best change (0 at
+    first), which the caller lowers as the scan improves.
 
     `tables` holds the job data and completion time at each position of the
     sequence, and `lo..hi` is the span whose jobs changed since the previous
-    scan (every position on the first).  A candidate is scored from the span
-    it changes: every job before or after it keeps its completion time.  The
-    one exception is an EX candidate whose exact lower bound is at least
-    `limit[0]`, the scan's best change, which the caller lowers as the scan
-    improves: it cannot go below that, so `c` is the bound (at most the
-    exact change) and its inner span is not scanned.  A reversal descent
-    keeps each block's change in `change` across its scans and re-scores
-    only the blocks that overlap `lo..hi`.
+    scan (every position on the first).  A candidate is scored from the
+    span it changes: every job before or after it keeps its completion time.
+    EX, FSH and BSH pass over every other move, EX scoring one no further
+    once its exact lower bound reaches `limit[0]`.  A reversal descent keeps
+    each block's change in `change` across its scans, re-scores only the
+    blocks that overlap `lo..hi`, and yields every block.
     """
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
-        return _reversals(k, *tables, change, lo, hi)
+        return _reversals(k, *tables, change, lo, hi, last)
     P, W, D, comp = tables
     pre, tw = [0], [0]                   # cost, tardy weight of positions < m
     cost = weight = 0
@@ -144,17 +148,17 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
         tw.append(weight)
     gap = 1 if nested else 2
     if kind is Neighborhood.EX_NO_APEX:
-        return _exchanges(gap, P, W, D, comp, pre, tw, limit)
+        return _exchanges(gap, P, W, D, comp, pre, tw, limit, last)
     if kind is Neighborhood.FSH_NO_APEX:
-        return _forward_shifts(gap, P, W, D, comp, pre)
-    return _backward_shifts(gap, P, W, D, comp, pre)
+        return _forward_shifts(gap, P, W, D, comp, pre, limit, last)
+    return _backward_shifts(gap, P, W, D, comp, pre, limit, last)
 
 
-def _reversals(k, P, W, D, comp, change, lo, hi):
-    # Reverse positions i..i+k-1: change[i] is what that adds to the cost.
-    # Only the blocks that overlap lo..hi have new jobs or completion times,
-    # and each is re-scored in O(k).  Every entry is filled before the first
-    # is yielded: a scan may be abandoned midway.
+def _reversals(k, P, W, D, comp, change, lo, hi, last):
+    # Reverse positions i..i+k-1 (move index i): change[i] is what that adds
+    # to the cost.  Only the blocks that overlap lo..hi have new jobs or
+    # completion times, and each is re-scored in O(k).  Every entry is
+    # filled before the first is yielded: a scan may be abandoned midway.
     n = len(P)
     lo, hi = max(0, lo - k + 1), min(n - k, hi)
     pre, cost = [0], 0                   # cost of lo..m-1 as pre[m - lo]
@@ -170,22 +174,27 @@ def _reversals(k, P, W, D, comp, change, lo, hi):
             if t > D[m]:
                 value += W[m] * (t - D[m])
         change[i] = value
-    return zip(range(n - k + 1), range(k - 1, n), change)
+    moves = range(last)
+    return zip(moves, moves, range(k - 1, n), change)
 
 
-def _exchanges(gap, P, W, D, comp, pre, tw, limit):
+def _exchanges(gap, P, W, D, comp, pre, tw, limit, last):
     # Swap positions i < j: the jobs between move by delta = P[j] - P[i].
     # max(0, L + delta) >= max(0, L) + min(delta, 0) * [L > 0], so their
     # cost is at least its value now plus min(delta, 0) times their tardy
     # weight, and at least 0; only a candidate that this bound leaves below
-    # the scan's best gets the O(j - i) scan of its inner jobs.
+    # the scan's best gets the O(j - i) scan of its inner jobs.  Row i
+    # holds the moves t..end-1.
     n = len(P)
-    for i in range(n):
+    t = 0
+    for i in range(n - gap):
         pi, wi, di = P[i], W[i], D[i]
         start = comp[i] - pi
         head = pre[i]
         inner_pre, inner_tw = pre[i + 1], tw[i + 1]
-        for j in range(i + gap, n):
+        first = i + gap
+        end = t + n - first
+        for j in range(first, n if end <= last else first + last - t):
             pj = P[j]
             delta = pj - pi
             value = head - pre[j + 1]
@@ -198,19 +207,23 @@ def _exchanges(gap, P, W, D, comp, pre, tw, limit):
                 bound += delta * (tw[j] - inner_tw)
                 if bound < 0:
                     bound = 0
-            if delta == 0 or value + bound >= limit[0]:
-                yield i, j, value + bound
+            if value + bound >= limit[0]:
                 continue
             for m in range(i + 1, j):
                 if comp[m] + delta > D[m]:
                     value += W[m] * (comp[m] + delta - D[m])
-            yield i, j, value
+            if value < limit[0]:
+                yield t + j - first, i, j, value
+        if end >= last:
+            return
+        t = end
 
 
-def _forward_shifts(gap, P, W, D, comp, pre):
+def _forward_shifts(gap, P, W, D, comp, pre, limit, last):
     # Job i to position j > i: jobs i+1..j move earlier by P[i], summed as
     # j rises, so O(1) per candidate.
     n = len(P)
+    t = 0
     for i in range(n - gap):
         pi, wi, di = P[i], W[i], D[i]
         head = pre[i]
@@ -218,19 +231,26 @@ def _forward_shifts(gap, P, W, D, comp, pre):
         for m in range(i + 1, i + gap):
             if comp[m] - pi > D[m]:
                 moved += W[m] * (comp[m] - pi - D[m])
-        for j in range(i + gap, n):
+        first = i + gap
+        end = t + n - first
+        for j in range(first, n if end <= last else first + last - t):
             if comp[j] - pi > D[j]:
                 moved += W[j] * (comp[j] - pi - D[j])
             value = head + moved - pre[j + 1]
             if comp[j] > di:
                 value += wi * (comp[j] - di)
-            yield i, j, value
+            if value < limit[0]:
+                yield t + j - first, i, j, value
+        if end >= last:
+            return
+        t = end
 
 
-def _backward_shifts(gap, P, W, D, comp, pre):
+def _backward_shifts(gap, P, W, D, comp, pre, limit, last):
     # Job i to position j < i: jobs j..i-1 move later by P[i]; per i, the
     # moved cost of j..i-1 is their total less that of 0..j-1.
     n = len(P)
+    t = 0
     for i in range(gap, n):
         pi, wi, di = P[i], W[i], D[i]
         moved = [W[m] * (comp[m] + pi - D[m]) if comp[m] + pi > D[m] else 0
@@ -238,13 +258,18 @@ def _backward_shifts(gap, P, W, D, comp, pre):
         rest = sum(moved)
         tail = -pre[i + 1]
         start = 0
-        for j in range(i - gap + 1):
+        end = t + i - gap + 1
+        for j in range(i - gap + 1 if end <= last else last - t):
             value = pre[j] + rest + tail
             if start + pi > di:
                 value += wi * (start + pi - di)
-            yield i, j, value
+            if value < limit[0]:
+                yield t + j, i, j, value
             rest -= moved[j]
             start = comp[j]
+        if end >= last:
+            return
+        t = end
 
 
 def descend(
@@ -266,16 +291,18 @@ def descend(
     descent builds the position tables of `start` once, and after each
     accept refreshes them only on the accepted move's span, the one span
     whose jobs it permutes.  Scans run in the neighborhood's deterministic
-    move order, and a candidate that improves on its scan's best goes to
-    `trace`.  A scan stops when the counter reaches `max_candidates`
-    evaluations of this call (adaptive's probe cap) or the run's
-    `config.max_evaluations`; `budget_hit` says the budget stopped one
-    first (the cap wins a tie).  The best improving candidate of a stopped
-    scan is still accepted, so the returned sequence is always the best
-    sequence evaluated.
+    move order and yield only the moves that improve on their best so far;
+    the descent ticks the counter once per move, in order, and a yielded
+    move that improves goes to `trace`.  A scan stops when the counter
+    reaches `max_candidates` evaluations of this call (adaptive's probe
+    cap) or the run's `config.max_evaluations`; `budget_hit` says the
+    budget stopped one first (the cap wins a tie).  The best improving
+    candidate of a stopped scan is still accepted, so the returned sequence
+    is always the best sequence evaluated.
     """
     current, current_obj = tuple(start), start_objective
     first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
+    tick = counter.tick
     entry = counter.count
     # One stop count per call; a limit that is not set is none.
     cap = math.inf if max_candidates is None else entry + max_candidates
@@ -283,6 +310,7 @@ def descend(
     stopped = False
     p, w, d = instance.processing, instance.weight, instance.due
     n = len(current)
+    size = neighborhood_size(kind, n, config.nested)
     # Job data and completion time by position, and the change of each
     # reversal block (n - k + 1 <= n of them), kept across the scans.
     P, W, D, comp, change = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
@@ -292,37 +320,47 @@ def descend(
     while True:
         # Only positions lo..hi (all of them at first) hold new jobs, so
         # only their completion times moved.
-        t = comp[lo - 1] if lo else 0
+        clock = comp[lo - 1] if lo else 0
         for m in range(lo, hi + 1):
             job = current[m]
             P[m] = pm = p[job]
             W[m] = w[job]
             D[m] = d[job]
-            t += pm
-            comp[m] = t
+            clock += pm
+            comp[m] = clock
+        # The scan may reach moves 0..last-1; a stop falls on move last.
+        last = min(size, stop - counter.count)
         best, best_change = None, 0
-        # The scan's best, which the EX bound screens against.
+        # The scan's best change; the scan yields only moves below it.
         limit = [0]
-        for i, j, c in _scan(kind, config.nested, tables, limit, change,
-                             lo, hi):
-            if counter.count >= stop:
-                stopped = True
-                break
-            counter.tick()
+        done = 0                         # moves ticked so far
+        for t, i, j, c in _scan(kind, config.nested, tables, limit, change,
+                                lo, hi, last):
+            # Each move passed over, then move t, is one evaluation.
+            if t > done:
+                for _ in repeat(None, t - done):
+                    tick()
+            tick()
+            done = t + 1
             # The run's best is never above the scan's, so only a scan
             # improvement can be a new point of the trace.
             if c < best_change:
                 trace.record_if_improved(counter, current_obj + c)
                 best_change = limit[0] = c
-                best = Move(kind, i, j)
+                best = i, j
                 if first:
                     break
+        else:
+            for _ in repeat(None, last - done):
+                tick()
+            stopped = last < size
         if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
-        current = apply_move(current, best)
+        i, j = best
+        current = apply_move(current, Move(kind, i, j))
         current_obj += best_change
-        lo, hi = min(best.i, best.j), max(best.i, best.j)
+        lo, hi = min(i, j), max(i, j)
 
     return DescentResult(current, current_obj, counter.count - entry,
                          stopped and stop < cap)

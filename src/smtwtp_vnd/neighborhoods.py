@@ -34,6 +34,11 @@ class Neighborhood(Enum):
     FSH_NO_APEX = "fsh"
     BSH_NO_APEX = "bsh"
 
+    # Members are singletons (unpickling returns the same one) and compare
+    # by identity, so they hash by identity too: C-level, where Enum's own
+    # hash runs Python code on every table lookup keyed by a kind.
+    __hash__ = object.__hash__
+
 
 CANONICAL_ORDER: tuple[Neighborhood, ...] = tuple(Neighborhood)
 

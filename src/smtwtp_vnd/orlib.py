@@ -9,6 +9,7 @@ self-describing, so n and count are always explicit.
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from .core import Instance
@@ -47,8 +48,20 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+# Tokens joined by single spaces, each one that `parse_int` takes.
+_INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
+
 def _parse_integers(tokens: list[str]) -> list[int]:
     """Each token as an int, by `parse_int`."""
+    # One check of all tokens; only input that fails it (or that `int`
+    # refuses, such as a number past its digit limit) is read token by
+    # token, for the position of the first bad one.
+    if _INTEGERS.fullmatch(" ".join(tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
     values = []
     for pos, tok in enumerate(tokens, start=1):
         try:

@@ -7,10 +7,45 @@ cross-check rather than mirror the production code.
 
 import itertools
 import random
+import signal
+import sys
 
 import pytest
 
 from smtwtp_vnd import Instance
+
+
+TEST_TIME_LIMIT = 600                    # seconds
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past `TEST_TIME_LIMIT` instead of letting it
+    hang, as a descent that never stops accepting would.  The error is
+    raised in the code the test is running, so the traceback shows where it
+    was stuck.  Skipped where the platform has no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def stop(frame, event, arg):
+        # A trace function that raises is removed, so this fires once.
+        raise TimeoutError(f"test ran past {TEST_TIME_LIMIT} s")
+
+    def expire(signum, frame):
+        # Raise at the next line event, not here: on CPython 3.11 the alarm
+        # can land on a loop's jump back, which has no line number, and
+        # pytest fails to render such a traceback.
+        frame.f_trace = stop
+        sys.settrace(stop)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def ref_objective(instance: Instance, order) -> int:

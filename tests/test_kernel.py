@@ -23,6 +23,7 @@ from smtwtp_vnd import (
     run,
 )
 from smtwtp_vnd import engine
+from smtwtp_vnd.neighborhoods import _BLOCK_LENGTH
 
 from . import reference_engine
 from .conftest import random_instance
@@ -45,35 +46,47 @@ def position_tables(inst: Instance, seq):
             [inst.due[job] for job in seq], list(itertools.accumulate(P)))
 
 
+def scored(inst: Instance, seq, moves):
+    """`(t, i, j, c)` for every move at index t, with c its exact change of
+    objective."""
+    objective = objective_value(inst, seq)
+    return [(t, m.i, m.j, objective_value(inst, apply_move(seq, m)) - objective)
+            for t, m in enumerate(moves)]
+
+
+def improving(kind: Neighborhood, candidates):
+    """What a scan against the incumbent yields: every reversal block, and
+    only the moves that improve for the other kinds."""
+    if kind in _BLOCK_LENGTH:
+        return candidates
+    return [candidate for candidate in candidates if candidate[3] < 0]
+
+
 @pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("kind", list(Neighborhood))
 def test_every_candidate_value_is_exact(kind, nested):
     rng = random.Random(f"{kind.value}-{nested}")
     for n in range(1, 31):
+        moves = enumerate_moves(kind, n, nested)
         for inst in instances(rng, n):
             seq = tuple(rng.sample(range(n), n))
-            objective = objective_value(inst, seq)
-            moves = enumerate_moves(kind, n, nested)
-            exact = [objective_value(inst, apply_move(seq, m)) - objective
-                     for m in moves]
+            every = scored(inst, seq, moves)
 
-            def first_scan(limit):
-                return engine._scan(kind, nested, position_tables(inst, seq),
-                                    [limit], [0] * n, 0, n - 1)
+            def first_scan(limit, last=len(moves)):
+                return list(engine._scan(
+                    kind, nested, position_tables(inst, seq), [limit],
+                    [0] * n, 0, n - 1, last))
 
-            # Screen off: every move, in enumerate_moves order, scored exactly.
-            scan = list(first_scan(math.inf))
-            assert [(i, j) for i, j, _ in scan] == [(m.i, m.j) for m in moves]
-            assert [c for _, _, c in scan] == exact
-            # Screen always on: what EX yields is its lower bound.
-            scan = first_scan(-math.inf)
-            assert all(c <= e for (_, _, c), e in zip(scan, exact))
-            # Screened against the incumbent: a change below 0 is exact, and
-            # one that is not leaves no improving move unseen.
-            for (_, _, c), e in zip(first_scan(0), exact):
-                assert c <= e and (c < 0) == (e < 0)
-                if c < 0:
-                    assert c == e
+            # Nothing to beat: every move, at its index, scored exactly.
+            assert first_scan(math.inf) == every
+            # Against the incumbent: EX, FSH and BSH yield exactly the moves
+            # that improve (EX screening the rest), reversals every block.
+            assert first_scan(0) == improving(kind, every)
+            # A scan that must stop before the end yields nothing past it.
+            for last in sorted({0, 1, len(moves) // 2, len(moves) - 1}):
+                if 0 <= last < len(moves):
+                    assert first_scan(math.inf, last) == every[:last]
+                    assert first_scan(0, last) == improving(kind, every[:last])
 
 
 @pytest.mark.parametrize("nested", [False, True])
@@ -84,33 +97,31 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
     # overlap it.  Make `descend` accept a random chain of moves, the first
     # and the last among them, and abandon each scan after a random number of
     # candidates, as first improvement, the probe cap and the budget do:
-    # every change a rescan yields is still exact (EX's only below 0, with
-    # its screen on).
+    # every move a rescan yields is still at its index and exact, and a scan
+    # against the incumbent yields exactly what `improving` says.
     rng = random.Random(f"{kind.value}-{nested}")
     real_scan = engine._scan
     config = StrategyConfig(Strategy.FIXED, nested=nested)
-    screened = kind is Neighborhood.EX_NO_APEX
     checked = 0
 
-    def chained(kind, nested, tables, limit, change, lo, hi):
+    def chained(kind, nested, tables, limit, change, lo, hi, last):
         nonlocal seq, checked
-        objective = objective_value(inst, seq)
-        scan = real_scan(kind, nested, tables, limit, change, lo, hi)
-        # EX with its screen off; the other kinds ignore the screen.
+        assert limit == [0] and last == len(moves)
+        scan = real_scan(kind, nested, tables, limit, change, lo, hi, last)
+        # Nothing to beat: every move is yielded.
         unscreened = real_scan(kind, nested, tables, [math.inf], change,
-                               lo, hi)
+                               lo, hi, last)
         taken = rng.randint(0, len(moves))
-        for (i, j, c), (_, _, exact_c), move in itertools.islice(
-                zip(scan, unscreened, moves), taken):
-            e = objective_value(inst, apply_move(seq, move)) - objective
-            assert (i, j) == (move.i, move.j) and exact_c == e
-            assert c == e or screened and 0 <= c <= e
-            checked += 1
+        every = scored(inst, seq, moves[:taken])
+        assert list(itertools.islice(unscreened, taken)) == every
+        assert list(itertools.takewhile(lambda candidate: candidate[0] < taken,
+                                        scan)) == improving(kind, every)
+        checked += taken
         if chain:
             # A change below 0 makes the descent accept the move.
             move = chain.pop()
             seq = apply_move(seq, move)
-            yield move.i, move.j, -1
+            yield moves.index(move), move.i, move.j, -1
 
     monkeypatch.setattr(engine, "_scan", chained)
     for n in range(1, 31):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -11,6 +12,7 @@ from smtwtp_vnd import (
     enumerate_moves,
     neighborhood_size,
 )
+from smtwtp_vnd.neighborhoods import _BLOCK_LENGTH
 
 APEX = Neighborhood.APEX
 BR4, BR5, BR6 = Neighborhood.BR4, Neighborhood.BR5, Neighborhood.BR6
@@ -23,6 +25,16 @@ def test_canonical_order():
     assert [k.name for k in CANONICAL_ORDER] == [
         "APEX", "BR4", "BR5", "BR6", "EX_NO_APEX", "FSH_NO_APEX", "BSH_NO_APEX",
     ]
+
+
+@pytest.mark.parametrize("kind", list(Neighborhood))
+def test_kind_survives_pickling_as_a_table_key(kind):
+    # Kinds hash by identity, so a copy must be the member itself.
+    copy = pickle.loads(pickle.dumps(kind))
+    assert copy is kind and hash(copy) == hash(kind)
+    assert _BLOCK_LENGTH.get(copy) == _BLOCK_LENGTH.get(kind)
+    assert (copy in _BLOCK_LENGTH) == (kind.value in ("apex", "br4", "br5", "br6"))
+    assert {kind: kind.value}[copy] == kind.value
 
 
 def test_apex_moves_n4():

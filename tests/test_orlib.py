@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from smtwtp_vnd import (
     parse_orlib,
     serialize_orlib,
 )
+from smtwtp_vnd.orlib import parse_int
 
 
 def test_parse_single_instance():
@@ -51,6 +53,27 @@ def test_parse_non_integer_token_reports_position():
             parse_orlib(f"3 1 2  2 {token} 1  2 4 3", n=3, count=1)
     with pytest.raises(BenchmarkFormatError, match="token 2: '1_5'"):
         load_best_known("7 1_5", count=2)
+
+
+def test_bad_token_late_in_a_large_file_is_reported_at_its_position():
+    # The tokens of a file are checked in one pass; one that fails is still
+    # reported as `parse_int` refuses it, at its position.
+    benchmark = generate_benchmark_set(n=100, seed=1, replicates=1)
+    tokens = serialize_orlib(benchmark).split()
+    count = len(benchmark.instances)
+    assert parse_orlib(" ".join(tokens), n=100, count=count) == benchmark
+    refused = ["x", "1_0", "\u0663", "+5", "-", "--5", "1-2", "5-", "1.0"]
+    if hasattr(sys, "get_int_max_str_digits"):
+        # Digits alone, but past the limit of `int` on this Python.
+        refused.append("1" * (sys.get_int_max_str_digits() + 1))
+    for token in refused:
+        with pytest.raises(ValueError) as refusal:
+            parse_int(token)
+        for pos in (len(tokens) - 7, len(tokens)):
+            bad = [*tokens[:pos - 1], token, *tokens[pos:]]
+            with pytest.raises(BenchmarkFormatError) as error:
+                parse_orlib(" ".join(bad), n=100, count=count)
+            assert str(error.value) == f"token {pos}: {refusal.value}"
 
 
 def test_parse_rejects_invalid_job_data_with_instance_number():
