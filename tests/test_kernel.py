@@ -82,6 +82,9 @@ def test_every_candidate_value_is_exact(kind, nested):
             # Against the incumbent: EX, FSH and BSH yield exactly the moves
             # that improve (EX screening the rest), reversals every block.
             assert first_scan(0) == improving(kind, every)
+            # Nothing can beat -inf: only reversals yield.
+            assert first_scan(-math.inf) == (
+                every if kind in _BLOCK_LENGTH else [])
             # A scan that must stop before the end yields nothing past it.
             for last in sorted({0, 1, len(moves) // 2, len(moves) - 1}):
                 if 0 <= last < len(moves):
