@@ -50,7 +50,8 @@ def scored(inst: Instance, seq, moves):
     """`(t, i, j, c)` for every move at index t, with c its exact change of
     objective."""
     objective = objective_value(inst, seq)
-    return [(t, m.i, m.j, objective_value(inst, apply_move(seq, m)) - objective)
+    return [(t, m.i, m.j,
+             objective_value(inst, apply_move(seq, m)) - objective)
             for t, m in enumerate(moves)]
 
 
