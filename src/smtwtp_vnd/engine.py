@@ -14,19 +14,17 @@ A candidate's change of objective is scored from the span of positions its
 move changes.  A descent keeps each position's job data and completion time
 across its scans and, after an accept, refreshes only the accepted span; a
 reversal descent also keeps each block's change and re-scores only the
-blocks that overlap that span.  A scan yields only the candidates that
-improve on its best so far (a reversal scan yields every block), and an
-exchange whose exact lower bound shows it cannot is not scored further.
-The descent still ticks every candidate, in order, the passed-over ones in
-bulk, so counts and traces are those of scoring each one.
+blocks that overlap that span.  A scan ticks each candidate as it reaches
+it and yields only those that improve on its best so far; an exchange whose
+exact lower bound shows it cannot is not scored further.  So counts and
+traces are those of scoring each candidate in turn.
 """
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
 from typing import NamedTuple, get_args
 
 from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
@@ -118,25 +116,25 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
 
 
 def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
-          change: list, lo: int, hi: int,
-          last: int) -> Iterator[tuple[int, int, int, int]]:
+          change: list, lo: int, hi: int, last: int,
+          tick: Callable[[], object]) -> Iterator[tuple[int, int, int]]:
     """Scan the first `last` moves of `kind`, in `enumerate_moves` order,
-    and yield `(t, i, j, c)` when the move `Move(kind, i, j)` at index `t`
-    changes the objective by `c` < `limit[0]`, the scan's best change (0 at
-    first), which the caller lowers as the scan improves.
+    calling `tick` once as it reaches each, and yield `(i, j, c)` when the
+    move `Move(kind, i, j)` changes the objective by `c` < `limit[0]`, the
+    scan's best change (0 at first), which the caller lowers as the scan
+    improves.
 
     `tables` holds the job data and completion time at each position of the
     sequence, and `lo..hi` is the span whose jobs changed since the previous
     scan (every position on the first).  A candidate is scored from the
     span it changes: every job before or after it keeps its completion time.
-    EX, FSH and BSH pass over every other move, EX scoring one no further
-    once its exact lower bound reaches `limit[0]`.  A reversal descent keeps
-    each block's change in `change` across its scans, re-scores only the
-    blocks that overlap `lo..hi`, and yields every block.
+    EX scores a move no further once its exact lower bound reaches
+    `limit[0]`.  A reversal descent keeps each block's change in `change`
+    across its scans and re-scores only the blocks that overlap `lo..hi`.
     """
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
-        return _reversals(k, *tables, change, lo, hi, last)
+        return _reversals(k, *tables, change, lo, hi, limit, last, tick)
     P, W, D, comp = tables
     pre, tw = [0], [0]                   # cost, tardy weight of positions < m
     cost = weight = 0
@@ -148,17 +146,17 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
         tw.append(weight)
     gap = 1 if nested else 2
     if kind is Neighborhood.EX_NO_APEX:
-        return _exchanges(gap, P, W, D, comp, pre, tw, limit, last)
+        return _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick)
     if kind is Neighborhood.FSH_NO_APEX:
-        return _forward_shifts(gap, P, W, D, comp, pre, limit, last)
-    return _backward_shifts(gap, P, W, D, comp, pre, limit, last)
+        return _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick)
+    return _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick)
 
 
-def _reversals(k, P, W, D, comp, change, lo, hi, last):
+def _reversals(k, P, W, D, comp, change, lo, hi, limit, last, tick):
     # Reverse positions i..i+k-1 (move index i): change[i] is what that adds
     # to the cost.  Only the blocks that overlap lo..hi have new jobs or
     # completion times, and each is re-scored in O(k).  Every entry is
-    # filled before the first is yielded: a scan may be abandoned midway.
+    # filled before the first tick: a scan may be abandoned midway.
     n = len(P)
     lo, hi = max(0, lo - k + 1), min(n - k, hi)
     pre, cost = [0], 0                   # cost of lo..m-1 as pre[m - lo]
@@ -174,17 +172,19 @@ def _reversals(k, P, W, D, comp, change, lo, hi, last):
             if t > D[m]:
                 value += W[m] * (t - D[m])
         change[i] = value
-    moves = range(last)
-    return zip(moves, moves, range(k - 1, n), change)
+    for i in range(last):
+        tick()
+        if change[i] < limit[0]:
+            yield i, i + k - 1, change[i]
 
 
-def _exchanges(gap, P, W, D, comp, pre, tw, limit, last):
+def _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick):
     # Swap positions i < j: the jobs between move by delta = P[j] - P[i].
     # max(0, L + delta) >= max(0, L) + min(delta, 0) * [L > 0], so their
     # cost is at least its value now plus min(delta, 0) times their tardy
     # weight, and at least 0; only a candidate that this bound leaves below
-    # the scan's best gets the O(j - i) scan of its inner jobs.  Row i
-    # holds the moves t..end-1.
+    # the scan's best gets the O(j - i) scan of its inner jobs.  `t` moves
+    # come before row i.
     n = len(P)
     t = 0
     for i in range(n - gap):
@@ -193,8 +193,8 @@ def _exchanges(gap, P, W, D, comp, pre, tw, limit, last):
         head = pre[i]
         inner_pre, inner_tw = pre[i + 1], tw[i + 1]
         first = i + gap
-        end = t + n - first
-        for j in range(first, n if end <= last else first + last - t):
+        for j in range(first, min(n, first + last - t)):
+            tick()
             pj = P[j]
             delta = pj - pi
             value = head - pre[j + 1]
@@ -213,13 +213,13 @@ def _exchanges(gap, P, W, D, comp, pre, tw, limit, last):
                 if comp[m] + delta > D[m]:
                     value += W[m] * (comp[m] + delta - D[m])
             if value < limit[0]:
-                yield t + j - first, i, j, value
-        if end >= last:
+                yield i, j, value
+        t += n - first
+        if t >= last:
             return
-        t = end
 
 
-def _forward_shifts(gap, P, W, D, comp, pre, limit, last):
+def _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
     # Job i to position j > i: jobs i+1..j move earlier by P[i], summed as
     # j rises, so O(1) per candidate.
     n = len(P)
@@ -232,21 +232,21 @@ def _forward_shifts(gap, P, W, D, comp, pre, limit, last):
             if comp[m] - pi > D[m]:
                 moved += W[m] * (comp[m] - pi - D[m])
         first = i + gap
-        end = t + n - first
-        for j in range(first, n if end <= last else first + last - t):
+        for j in range(first, min(n, first + last - t)):
+            tick()
             if comp[j] - pi > D[j]:
                 moved += W[j] * (comp[j] - pi - D[j])
             value = head + moved - pre[j + 1]
             if comp[j] > di:
                 value += wi * (comp[j] - di)
             if value < limit[0]:
-                yield t + j - first, i, j, value
-        if end >= last:
+                yield i, j, value
+        t += n - first
+        if t >= last:
             return
-        t = end
 
 
-def _backward_shifts(gap, P, W, D, comp, pre, limit, last):
+def _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
     # Job i to position j < i: jobs j..i-1 move later by P[i]; per i, the
     # moved cost of j..i-1 is their total less that of 0..j-1.
     n = len(P)
@@ -258,18 +258,18 @@ def _backward_shifts(gap, P, W, D, comp, pre, limit, last):
         rest = sum(moved)
         tail = -pre[i + 1]
         start = 0
-        end = t + i - gap + 1
-        for j in range(i - gap + 1 if end <= last else last - t):
+        for j in range(min(i - gap + 1, last - t)):
+            tick()
             value = pre[j] + rest + tail
             if start + pi > di:
                 value += wi * (start + pi - di)
             if value < limit[0]:
-                yield t + j, i, j, value
+                yield i, j, value
             rest -= moved[j]
             start = comp[j]
-        if end >= last:
+        t += i - gap + 1
+        if t >= last:
             return
-        t = end
 
 
 def descend(
@@ -291,14 +291,15 @@ def descend(
     descent builds the position tables of `start` once, and after each
     accept refreshes them only on the accepted move's span, the one span
     whose jobs it permutes.  Scans run in the neighborhood's deterministic
-    move order and yield only the moves that improve on their best so far;
-    the descent ticks the counter once per move, in order, and a yielded
-    move that improves goes to `trace`.  A scan stops when the counter
-    reaches `max_candidates` evaluations of this call (adaptive's probe
-    cap) or the run's `config.max_evaluations`; `budget_hit` says the
-    budget stopped one first (the cap wins a tie).  The best improving
-    candidate of a stopped scan is still accepted, so the returned sequence
-    is always the best sequence evaluated.
+    move order, tick the counter once per move, and yield only the moves
+    that improve on their best so far, each of which goes to `trace`.  A
+    scan stops when the counter reaches `max_candidates` evaluations of
+    this call (adaptive's probe cap) or the run's `config.max_evaluations`;
+    `budget_hit` says the budget stopped one first (the cap wins a tie).
+    The best improving candidate of a stopped scan is still accepted, so the
+    returned sequence is always the best sequence evaluated.  RuntimeError
+    is raised when an accept would not lower the objective or would take it
+    below 0, so a faulty scan cannot make the descent run away.
     """
     current, current_obj = tuple(start), start_objective
     first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
@@ -330,36 +331,30 @@ def descend(
             comp[m] = clock
         # The scan may reach moves 0..last-1; a stop falls on move last.
         last = min(size, stop - counter.count)
-        best, best_change = None, 0
-        # The scan's best change; the scan yields only moves below it.
+        best = None
+        # The scan's best change; each move the scan yields is a new best.
         limit = [0]
-        done = 0                         # moves ticked so far
-        for t, i, j, c in _scan(kind, config.nested, tables, limit, change,
-                                lo, hi, last):
-            # Each move passed over, then move t, is one evaluation.
-            if t > done:
-                for _ in repeat(None, t - done):
-                    tick()
-            tick()
-            done = t + 1
+        for i, j, c in _scan(kind, config.nested, tables, limit, change,
+                             lo, hi, last, tick):
             # The run's best is never above the scan's, so only a scan
             # improvement can be a new point of the trace.
-            if c < best_change:
-                trace.record_if_improved(counter, current_obj + c)
-                best_change = limit[0] = c
-                best = i, j
-                if first:
-                    break
+            trace.record_if_improved(counter, current_obj + c)
+            best, limit[0] = (i, j), c
+            if first:
+                break
         else:
-            for _ in repeat(None, last - done):
-                tick()
             stopped = last < size
         if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
         i, j = best
         current = apply_move(current, Move(kind, i, j))
-        current_obj += best_change
+        current_obj += limit[0]
+        # An accept lowers the objective by at least 1, and none is below 0:
+        # a scan that says otherwise would make the descent run away.
+        if limit[0] >= 0 or current_obj < 0:
+            raise RuntimeError(f"{kind.name} scan reported change {limit[0]},"
+                               f" taking the objective to {current_obj}")
         lo, hi = min(i, j), max(i, j)
 
     return DescentResult(current, current_obj, counter.count - entry,

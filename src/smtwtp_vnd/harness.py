@@ -27,7 +27,7 @@ from .engine import (
     StrategyConfig,
     run,
 )
-from .orlib import BenchmarkSet, load_best_known, parse_orlib
+from .orlib import BenchmarkSet, load_best_known, parse_int, parse_orlib
 
 TRACE_HEADER = "evaluations,best_objective"
 SUMMARY_HEADER = "instance,strategy,seed,final_objective,evaluations,terminated_by,gap"
@@ -144,6 +144,10 @@ def crossover_report(traces: list[RunTrace],
         raise ValueError("need at least two traces to compare")
     if len(labels) != len(traces):
         raise ValueError("labels and traces must align")
+    # The report is keyed by label pairs: a repeat would have none.
+    repeated = sorted(v for v, k in Counter(labels).items() if k > 1)
+    if repeated:
+        raise ValueError(f"labels {repeated} repeated")
     for label, trace in zip(labels, traces):
         if not trace.points:
             raise ValueError(f"trace {label!r} is empty")
@@ -175,13 +179,22 @@ def write_trace_csv(path: Path, trace: RunTrace) -> None:
 
 
 def read_trace_csv(path: Path) -> RunTrace:
+    """The trace that `write_trace_csv` wrote to `path`.  Raises ValueError,
+    naming the path and the 1-based line, for a missing header, a line
+    without exactly two fields or a field that `parse_int` refuses."""
     lines = path.read_text().splitlines()
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError(f"{path}: missing trace header")
     points = []
-    for line in lines[1:]:
-        evals, best = line.split(",")
-        points.append((int(evals), int(best)))
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {number}: {len(fields)} fields, "
+                             "not 2")
+        try:
+            points.append((parse_int(fields[0]), parse_int(fields[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
     return RunTrace(points=points)
 
 

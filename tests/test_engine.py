@@ -480,6 +480,34 @@ def test_descend_stop_precedence():
         assert (res.evaluations, res.budget_hit) == (budget - 5, budget_hit)
 
 
+@pytest.mark.parametrize("change, scans, objective", [(-1, 6, -1), (0, 1, 5)])
+def test_a_phantom_improvement_fails_fast(tiny_instance, change, scans,
+                                          objective, monkeypatch):
+    # A faulty scan that keeps reporting an improvement would make the
+    # descent accept forever, one trace point per accept.  Every true
+    # accept lowers the objective by at least 1 and none is below 0, so
+    # from the optimum of `tiny_instance` (objective 5) the descent raises
+    # on its sixth accept of -1, or on its first of 0.
+    scanned = 0
+
+    def phantom(kind, nested, tables, limit, change_, lo, hi, last, tick):
+        nonlocal scanned
+        scanned += 1
+        tick()
+        yield 0, 1, change
+
+    monkeypatch.setattr(engine, "_scan", phantom)
+    start = (0, 1, 2)
+    start_objective = objective_value(tiny_instance, start)
+    trace = RunTrace()
+    with pytest.raises(RuntimeError, match=f"APEX scan reported change "
+                       f"{change}, taking the objective to {objective}$"):
+        descend(tiny_instance, start, Neighborhood.APEX, FIXED_CFG,
+                EvalCounter(), trace, start_objective=start_objective)
+    assert scanned == scans <= start_objective + 1
+    assert len(trace.points) <= start_objective + 1
+
+
 def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
     # Every objective the run determines is logged; the trace must hold
     # exactly the strict running minima of that log, each at its 1-based

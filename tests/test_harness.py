@@ -87,6 +87,12 @@ def test_crossover_rejects_empty_or_lonely_traces():
         crossover_report([trace([(1, 5)]), trace([])], ["a", "b"])
 
 
+def test_crossover_rejects_repeated_labels():
+    a, b = trace([(1, 5)]), trace([(2, 4)])
+    with pytest.raises(ValueError, match=r"labels \['x'\] repeated"):
+        crossover_report([a, b], ["x", "x"])
+
+
 def test_crossover_three_way():
     a = trace([(1, 100), (5, 20)])
     b = trace([(1, 80), (9, 70)])
@@ -175,6 +181,17 @@ def test_read_trace_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n")
     with pytest.raises(ValueError, match="header"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("line", [
+    "1_0,3", "10,\u0663", " +20 , 5", "+20,5", "7", "1,2,3", "", "1,"])
+def test_read_trace_rejects_bad_lines(tmp_path, line):
+    # Trace files follow the token rule of the benchmark files: an optional
+    # `-` and ASCII digits, two fields per line.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{TRACE_HEADER}\n1,9\n{line}\n")
+    with pytest.raises(ValueError, match=f"{path}: line 3: "):
         read_trace_csv(path)
 
 

@@ -23,7 +23,6 @@ from smtwtp_vnd import (
     run,
 )
 from smtwtp_vnd import engine
-from smtwtp_vnd.neighborhoods import _BLOCK_LENGTH
 
 from . import reference_engine
 from .conftest import random_instance
@@ -55,12 +54,17 @@ def scored(inst: Instance, seq, moves):
             for t, m in enumerate(moves)]
 
 
-def improving(kind: Neighborhood, candidates):
-    """What a scan against the incumbent yields: every reversal block, and
-    only the moves that improve for the other kinds."""
-    if kind in _BLOCK_LENGTH:
-        return candidates
+def improving(candidates):
+    """What a scan against the incumbent yields: the moves that improve."""
     return [candidate for candidate in candidates if candidate[3] < 0]
+
+
+def ticked(scan, counter: EvalCounter):
+    """`(t, i, j, c)` for each `(i, j, c)` that `scan` yields, t being the
+    move's index: the scan ticks `counter` once per move it reaches, so
+    `counter.count - 1` right after a yield."""
+    for i, j, c in scan:
+        yield counter.count - 1, i, j, c
 
 
 @pytest.mark.parametrize("nested", [False, True])
@@ -74,23 +78,26 @@ def test_every_candidate_value_is_exact(kind, nested):
             every = scored(inst, seq, moves)
 
             def first_scan(limit, last=len(moves)):
-                return list(engine._scan(
+                counter = EvalCounter()
+                found = list(ticked(engine._scan(
                     kind, nested, position_tables(inst, seq), [limit],
-                    [0] * n, 0, n - 1, last))
+                    [0] * n, 0, n - 1, last, counter.tick), counter))
+                # A scan that is not broken off ticks each of its moves.
+                assert counter.count == last
+                return found
 
             # Nothing to beat: every move, at its index, scored exactly.
             assert first_scan(math.inf) == every
-            # Against the incumbent: EX, FSH and BSH yield exactly the moves
-            # that improve (EX screening the rest), reversals every block.
-            assert first_scan(0) == improving(kind, every)
-            # Nothing can beat -inf: only reversals yield.
-            assert first_scan(-math.inf) == (
-                every if kind in _BLOCK_LENGTH else [])
+            # Against the incumbent: exactly the moves that improve (EX
+            # screening the rest).
+            assert first_scan(0) == improving(every)
+            # Nothing can beat -inf.
+            assert first_scan(-math.inf) == []
             # A scan that must stop before the end yields nothing past it.
             for last in sorted({0, 1, len(moves) // 2, len(moves) - 1}):
                 if 0 <= last < len(moves):
                     assert first_scan(math.inf, last) == every[:last]
-                    assert first_scan(0, last) == improving(kind, every[:last])
+                    assert first_scan(0, last) == improving(every[:last])
 
 
 @pytest.mark.parametrize("nested", [False, True])
@@ -100,32 +107,40 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
     # each accepted span; a reversal rescan re-scores only the blocks that
     # overlap it.  Make `descend` accept a random chain of moves, the first
     # and the last among them, and abandon each scan after a random number of
-    # candidates, as first improvement, the probe cap and the budget do:
-    # every move a rescan yields is still at its index and exact, and a scan
-    # against the incumbent yields exactly what `improving` says.
+    # candidates, as first improvement does: every move a rescan yields is
+    # still at its index and exact, and a scan against the incumbent yields
+    # exactly what `improving` says.
     rng = random.Random(f"{kind.value}-{nested}")
     real_scan = engine._scan
     config = StrategyConfig(Strategy.FIXED, nested=nested)
     checked = 0
 
-    def chained(kind, nested, tables, limit, change, lo, hi, last):
+    def chained(kind, nested, tables, limit, change, lo, hi, last, tick):
         nonlocal seq, checked
         assert limit == [0] and last == len(moves)
-        scan = real_scan(kind, nested, tables, limit, change, lo, hi, last)
+        counter, unscreened_counter = EvalCounter(), EvalCounter()
+        scan = ticked(real_scan(kind, nested, tables, limit, change, lo, hi,
+                                last, counter.tick), counter)
         # Nothing to beat: every move is yielded.
-        unscreened = real_scan(kind, nested, tables, [math.inf], change,
-                               lo, hi, last)
+        unscreened = ticked(real_scan(kind, nested, tables, [math.inf],
+                                      change, lo, hi, last,
+                                      unscreened_counter.tick),
+                            unscreened_counter)
         taken = rng.randint(0, len(moves))
         every = scored(inst, seq, moves[:taken])
         assert list(itertools.islice(unscreened, taken)) == every
+        assert unscreened_counter.count == taken
         assert list(itertools.takewhile(lambda candidate: candidate[0] < taken,
-                                        scan)) == improving(kind, every)
+                                        scan)) == improving(every)
         checked += taken
         if chain:
-            # A change below 0 makes the descent accept the move.
+            # The scan reaches the move, and a change below 0 makes the
+            # descent accept it.
             move = chain.pop()
+            for _ in range(moves.index(move) + 1):
+                tick()
             seq = apply_move(seq, move)
-            yield moves.index(move), move.i, move.j, -1
+            yield move.i, move.j, -1
 
     monkeypatch.setattr(engine, "_scan", chained)
     for n in range(1, 31):
@@ -135,9 +150,11 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
             chain = ([moves[0], moves[-1], *rng.choices(moves, k=8)]
                      if moves else [])
             rng.shuffle(chain)
+            # Each accept claims a change of -1: start high enough that the
+            # descent's objective never falls below 0.
             result = engine.descend(
                 inst, start, kind, config, EvalCounter(), RunTrace(),
-                start_objective=objective_value(inst, start))
+                start_objective=objective_value(inst, start) + len(chain))
             assert not chain and result.sequence == seq
     assert checked > 1000
 
