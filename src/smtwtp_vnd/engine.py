@@ -11,10 +11,10 @@ short capped descents and continues in the one whose probe got furthest.
 Every scanned candidate is one evaluation and ticks the shared counter, so
 runs of different strategies are comparable on the evaluation axis alone.
 A candidate's change of objective is scored from the span of positions its
-move changes.  A descent keeps each position's job data and completion time
-across its scans and, after an accept, refreshes only the accepted span; a
-reversal descent also keeps each block's change and re-scores only the
-blocks that overlap that span.  A scan ticks each candidate as it reaches
+move changes.  A descent keeps each position's job data, completion time
+and cost across its scans and, after an accept, refreshes only the accepted
+span; a reversal descent also keeps each block's change and re-scores only
+the blocks that overlap that span.  A scan ticks each candidate as it reaches
 it and yields only those that improve on its best so far; an exchange whose
 exact lower bound shows it cannot is not scored further.  So counts and
 traces are those of scoring each candidate in turn.
@@ -25,6 +25,7 @@ import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple, get_args
 
 from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
@@ -124,10 +125,11 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
     scan's best change (0 at first), which the caller lowers as the scan
     improves.
 
-    `tables` holds the job data and completion time at each position of the
-    sequence, and `lo..hi` is the span whose jobs changed since the previous
-    scan (every position on the first).  A candidate is scored from the
-    span it changes: every job before or after it keeps its completion time.
+    `tables` holds the job data, completion time and weighted tardiness
+    (cost) at each position of the sequence, and `lo..hi` is the span whose
+    jobs changed since the previous scan (every position on the first).  A
+    candidate is scored from the span it changes: every job before or after
+    it keeps its completion time and cost.
     EX scores a move no further once its exact lower bound reaches
     `limit[0]`.  A reversal descent keeps each block's change in `change`
     across its scans and re-scores only the blocks that overlap `lo..hi`.
@@ -135,35 +137,27 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
         return _reversals(k, *tables, change, lo, hi, limit, last, tick)
-    P, W, D, comp = tables
-    pre, tw = [0], [0]                   # cost, tardy weight of positions < m
-    cost = weight = 0
-    for c, wm, dm in zip(comp, W, D):
-        if c > dm:
-            cost += wm * (c - dm)
-            weight += wm
-        pre.append(cost)
-        tw.append(weight)
+    P, W, D, comp, cost = tables
+    pre = [0, *accumulate(cost)]         # cost of positions < m
     gap = 1 if nested else 2
     if kind is Neighborhood.EX_NO_APEX:
+        # Tardy weight of positions < m: every weight is >= 1, so a
+        # position is tardy exactly when its cost is above 0.
+        tw = [0, *accumulate(wm if c else 0 for wm, c in zip(W, cost))]
         return _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick)
     if kind is Neighborhood.FSH_NO_APEX:
         return _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick)
     return _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick)
 
 
-def _reversals(k, P, W, D, comp, change, lo, hi, limit, last, tick):
+def _reversals(k, P, W, D, comp, cost, change, lo, hi, limit, last, tick):
     # Reverse positions i..i+k-1 (move index i): change[i] is what that adds
     # to the cost.  Only the blocks that overlap lo..hi have new jobs or
     # completion times, and each is re-scored in O(k).  Every entry is
     # filled before the first tick: a scan may be abandoned midway.
     n = len(P)
     lo, hi = max(0, lo - k + 1), min(n - k, hi)
-    pre, cost = [0], 0                   # cost of lo..m-1 as pre[m - lo]
-    for m in range(lo, hi + k):
-        if comp[m] > D[m]:
-            cost += W[m] * (comp[m] - D[m])
-        pre.append(cost)
+    pre = [0, *accumulate(cost[lo:hi + k])]  # cost of lo..m-1 as pre[m - lo]
     for i in range(lo, hi + 1):
         t = comp[i] - P[i]
         value = pre[i - lo] - pre[i - lo + k]
@@ -288,18 +282,21 @@ def descend(
 
     Only candidate sequences are evaluated (and counted): `_scan` scores
     every move's change of objective from the span it changes.  The
-    descent builds the position tables of `start` once, and after each
-    accept refreshes them only on the accepted move's span, the one span
-    whose jobs it permutes.  Scans run in the neighborhood's deterministic
-    move order, tick the counter once per move, and yield only the moves
-    that improve on their best so far, each of which goes to `trace`.  A
-    scan stops when the counter reaches `max_candidates` evaluations of
-    this call (adaptive's probe cap) or the run's `config.max_evaluations`;
-    `budget_hit` says the budget stopped one first (the cap wins a tie).
-    The best improving candidate of a stopped scan is still accepted, so the
-    returned sequence is always the best sequence evaluated.  RuntimeError
-    is raised when an accept would not lower the objective or would take it
-    below 0, so a faulty scan cannot make the descent run away.
+    descent builds the position tables of `start` (job data, completion
+    time and cost) once, and after each accept refreshes them only on the
+    accepted move's span, the one span whose jobs it permutes.  Scans run
+    in the neighborhood's deterministic move order, tick the counter once
+    per move, and yield only the moves that improve on their best so far,
+    each of which goes to `trace`.  A scan stops when the counter reaches
+    `max_candidates` evaluations of this call (adaptive's probe cap) or the
+    run's `config.max_evaluations`.  The best improving candidate of a
+    stopped scan is still accepted, so the returned sequence is always the
+    best sequence evaluated.  The last scan yields nothing, so it runs to
+    its stop or the neighborhood's end; `budget_hit` says it stopped short
+    of that end, at the budget rather than the cap (the cap wins a tie).
+    RuntimeError is raised when an accept would not lower the objective or
+    would take it below 0, so a faulty scan cannot make the descent run
+    away.
     """
     current, current_obj = tuple(start), start_objective
     first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
@@ -308,27 +305,27 @@ def descend(
     # One stop count per call; a limit that is not set is none.
     cap = math.inf if max_candidates is None else entry + max_candidates
     stop = min(cap, config.max_evaluations or math.inf)
-    stopped = False
     p, w, d = instance.processing, instance.weight, instance.due
     n = len(current)
     size = neighborhood_size(kind, n, config.nested)
-    # Job data and completion time by position, and the change of each
-    # reversal block (n - k + 1 <= n of them), kept across the scans.
-    P, W, D, comp, change = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
-    tables = P, W, D, comp
+    # Job data, completion time and cost by position, and the change of
+    # each reversal block (n - k + 1 <= n of them), kept across the scans.
+    P, W, D, comp, cost = tables = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    change = [0] * n
     lo, hi = 0, n - 1
 
     while True:
         # Only positions lo..hi (all of them at first) hold new jobs, so
-        # only their completion times moved.
+        # only their completion times and costs moved.
         clock = comp[lo - 1] if lo else 0
         for m in range(lo, hi + 1):
             job = current[m]
             P[m] = pm = p[job]
-            W[m] = w[job]
-            D[m] = d[job]
+            W[m] = wm = w[job]
+            D[m] = dm = d[job]
             clock += pm
             comp[m] = clock
+            cost[m] = wm * (clock - dm) if clock > dm else 0
         # The scan may reach moves 0..last-1; a stop falls on move last.
         last = min(size, stop - counter.count)
         best = None
@@ -342,8 +339,6 @@ def descend(
             best, limit[0] = (i, j), c
             if first:
                 break
-        else:
-            stopped = last < size
         if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
@@ -357,8 +352,9 @@ def descend(
                                f" taking the objective to {current_obj}")
         lo, hi = min(i, j), max(i, j)
 
+    # The last scan yielded nothing, so it reached move `last`.
     return DescentResult(current, current_obj, counter.count - entry,
-                         stopped and stop < cap)
+                         last < size and stop < cap)
 
 
 def run(instance: Instance, config: StrategyConfig) -> RunResult:

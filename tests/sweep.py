@@ -46,6 +46,18 @@ def sha256_json(record) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def run_hash(result) -> str:
+    """Hash of a run's best sequence, best objective, trace points,
+    evaluation total and termination reason."""
+    return sha256_json([
+        list(result.best_sequence),
+        result.best_objective,
+        [list(point) for point in result.trace.points],
+        result.evaluations_total,
+        result.terminated_by.value,
+    ])
+
+
 def run_hashes() -> dict[str, str]:
     """Hash of every run of the grid and of the move code, by configuration
     key."""
@@ -77,17 +89,10 @@ def run_hashes() -> dict[str, str]:
                 seed=n, nested=nested, max_evaluations=budget,
                 initial=initial,
             ))
-            record = [
-                list(result.best_sequence),
-                result.best_objective,
-                [list(point) for point in result.trace.points],
-                result.evaluations_total,
-                result.terminated_by.value,
-            ]
             key = (f"n={n} seed={n + offset} {strategy.value} {rule.value} "
                    f"nested={nested} initial={initial.value} "
                    f"budget={budget} probe={probe}")
-            hashes[key] = sha256_json(record)
+            hashes[key] = run_hash(result)
     return hashes
 
 

@@ -16,7 +16,6 @@ seven neighborhoods.  To print the current digests:
 """
 
 import hashlib
-import json
 from functools import lru_cache
 
 import pytest
@@ -32,6 +31,8 @@ from smtwtp_vnd import (
     run_experiment,
     serialize_orlib,
 )
+
+from .sweep import run_hash
 
 FIRST = DescentRule.FIRST_IMPROVEMENT
 
@@ -179,16 +180,7 @@ GOLDEN_EXPERIMENT = {
 
 
 def run_digest(source, config) -> str:
-    result = run(instance(*source), config)
-    record = [
-        list(result.best_sequence),
-        result.best_objective,
-        [list(point) for point in result.trace.points],
-        result.evaluations_total,
-        result.terminated_by.value,
-    ]
-    text = json.dumps(record, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return run_hash(run(instance(*source), config))
 
 
 def experiment_digests(tmp_path) -> dict[str, str]:

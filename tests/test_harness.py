@@ -87,6 +87,11 @@ def test_crossover_rejects_empty_or_lonely_traces():
         crossover_report([trace([(1, 5)]), trace([])], ["a", "b"])
 
 
+def test_crossover_rejects_fewer_labels_than_traces():
+    with pytest.raises(ValueError, match="labels and traces must align"):
+        crossover_report([trace([(1, 5)]), trace([(2, 4)])], ["a"])
+
+
 def test_crossover_rejects_repeated_labels():
     a, b = trace([(1, 5)]), trace([(2, 4)])
     with pytest.raises(ValueError, match=r"labels \['x'\] repeated"):

@@ -39,10 +39,12 @@ def instances(rng: random.Random, n: int):
 
 
 def position_tables(inst: Instance, seq):
-    """Job data and completion time at each position of `seq`."""
+    """Job data, completion time and cost at each position of `seq`."""
     P = [inst.processing[job] for job in seq]
-    return (P, [inst.weight[job] for job in seq],
-            [inst.due[job] for job in seq], list(itertools.accumulate(P)))
+    W = [inst.weight[job] for job in seq]
+    D = [inst.due[job] for job in seq]
+    comp = list(itertools.accumulate(P))
+    return P, W, D, comp, [w * max(0, c - d) for w, c, d in zip(W, comp, D)]
 
 
 def scored(inst: Instance, seq, moves):
@@ -118,6 +120,8 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
     def chained(kind, nested, tables, limit, change, lo, hi, last, tick):
         nonlocal seq, checked
         assert limit == [0] and last == len(moves)
+        # The refresh after each accept left the tables of `seq`.
+        assert tables == position_tables(inst, seq)
         counter, unscreened_counter = EvalCounter(), EvalCounter()
         scan = ticked(real_scan(kind, nested, tables, limit, change, lo, hi,
                                 last, counter.tick), counter)

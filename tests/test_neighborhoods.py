@@ -97,6 +97,13 @@ def test_unknown_kind_is_rejected(call, kind):
         call(kind)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("call", [enumerate_moves, neighborhood_size])
+def test_length_below_one_is_rejected(call, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        call(EX, n)
+
+
 def test_apply_block_reversal():
     assert apply_move((1, 2, 3, 4, 5), Move(BR4, 0, 3)) == (4, 3, 2, 1, 5)
 

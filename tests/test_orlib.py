@@ -77,6 +77,12 @@ def test_bad_token_late_in_a_large_file_is_reported_at_its_position():
             assert str(error.value) == f"token {pos}: {refusal.value}"
 
 
+@pytest.mark.parametrize("n,count", [(0, 1), (1, 0)])
+def test_parse_rejects_sizes_below_one(n, count):
+    with pytest.raises(ValueError, match="n and count must be >= 1"):
+        parse_orlib("1 1 0", n=n, count=count)
+
+
 def test_parse_rejects_invalid_job_data_with_instance_number():
     # zero processing time violates the instance invariants
     with pytest.raises(BenchmarkFormatError, match="instance 1"):
@@ -144,6 +150,13 @@ def test_generate_single_job():
     assert 1 <= inst.processing[0] <= 100
     assert 1 <= inst.weight[0] <= 10
     assert inst.due[0] >= 0
+
+
+def test_generate_narrow_window_takes_its_floor():
+    # P = 31: the window [ceil(15.48), floor(15.52)] holds no integer.
+    inst = generate_instance(n=1, seed=3, rdd=0.001, tf=0.5)
+    assert inst.processing == (31,)
+    assert inst.due == (15,)
 
 
 def test_generate_value_ranges():
