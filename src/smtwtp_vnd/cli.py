@@ -9,7 +9,29 @@ from .harness import ExperimentSpec, format_summary_table, run_experiment
 from .orlib import parse_int
 
 
+def _choice(values: dict[str, object]) -> dict:
+    """The `type` and `metavar` of a flag whose words stand for `values`."""
+    def parse(word: str) -> object:
+        if word in values:
+            return values[word]
+        raise argparse.ArgumentTypeError(f"invalid choice: {word!r} (choose "
+                                         f"from {', '.join(map(repr, values))})")
+    return {"type": parse, "metavar": "{" + ",".join(values) + "}"}
+
+
+def _indices(arg: str) -> tuple[int, ...] | None:
+    if arg.strip().lower() == "all":
+        return None
+    try:
+        return tuple(map(parse_int, arg.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'all' or comma-separated integers, got {arg!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag parses into the `ExperimentSpec` field named by its `dest`;
+    a flag left out keeps that field's default."""
     parser = argparse.ArgumentParser(
         prog="smtwtp-vnd",
         description=(
@@ -17,77 +39,53 @@ def build_parser() -> argparse.ArgumentParser:
             "total weighted tardiness benchmark instances and write anytime "
             "trace, summary, and crossover CSVs."
         ),
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--instances", required=True, type=Path,
+                        dest="instance_file", metavar="INSTANCES",
                         help="benchmark file (headerless integer tokens)")
     parser.add_argument("--n", required=True, type=parse_int,
                         help="jobs per instance")
     parser.add_argument("--count", required=True, type=parse_int,
                         help="instances in the file")
-    parser.add_argument("--index", default="all",
+    parser.add_argument("--index", type=_indices, dest="instance_indices",
+                        metavar="INDEX",
                         help="comma-separated 1-based instance indices, or 'all'")
-    parser.add_argument("--strategy", default="all",
-                        choices=[s.value for s in Strategy] + ["all"],
+    parser.add_argument("--strategy", dest="strategies",
+                        **_choice({s.value: (s,) for s in Strategy}
+                                  | {"all": tuple(Strategy)}),
                         help="neighborhood selection strategy")
-    parser.add_argument("--descent", default="best",
-                        choices=[r.value for r in DescentRule],
+    parser.add_argument("--descent", dest="descent_rule",
+                        **_choice({r.value: r for r in DescentRule}),
                         help="descent rule within a neighborhood")
-    parser.add_argument("--probe-budget", type=parse_int, default=100,
+    parser.add_argument("--probe-budget", type=parse_int,
                         help="candidate evaluations per neighborhood in an "
                              "adaptive probe")
-    parser.add_argument("--seed", type=parse_int, default=0,
+    parser.add_argument("--seed", type=parse_int,
                         help="base random seed; replication r uses seed+r")
-    parser.add_argument("--replications", type=parse_int, default=1,
+    parser.add_argument("--replications", type=parse_int,
                         help="seeded repetitions per (instance, strategy)")
-    parser.add_argument("--nested", default="off", choices=["on", "off"],
+    parser.add_argument("--nested", **_choice({"on": True, "off": False}),
                         help="abolish the adjacent-exchange exclusion of "
                              "EX/FSH/BSH")
-    parser.add_argument("--max-evals", type=parse_int, default=None,
+    parser.add_argument("--max-evals", type=parse_int, dest="max_evaluations",
+                        metavar="MAX_EVALS",
                         help="stop a run after this many objective evaluations")
-    parser.add_argument("--initial", default="as-given",
-                        choices=[o.value for o in InitialOrder],
+    parser.add_argument("--initial",
+                        **_choice({o.value: o for o in InitialOrder}),
                         help="initial sequence construction")
-    parser.add_argument("--best-known", type=Path, default=None,
+    parser.add_argument("--best-known", type=Path, dest="best_known_file",
+                        metavar="BEST_KNOWN",
                         help="file with one best-known objective per instance")
-    parser.add_argument("--out", required=True, type=Path,
-                        help="output directory")
+    parser.add_argument("--out", required=True, type=Path, dest="out_dir",
+                        metavar="OUT", help="output directory")
     return parser
-
-
-def _parse_indices(arg: str,
-                   parser: argparse.ArgumentParser) -> tuple[int, ...] | None:
-    if arg.strip().lower() == "all":
-        return None
-    try:
-        return tuple(parse_int(part) for part in arg.split(","))
-    except ValueError:
-        parser.error(f"--index must be 'all' or comma-separated integers, got {arg!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-
-    strategies = (
-        tuple(Strategy) if args.strategy == "all" else (Strategy(args.strategy),)
-    )
     try:
-        spec = ExperimentSpec(
-            instance_file=args.instances,
-            n=args.n,
-            count=args.count,
-            out_dir=args.out,
-            instance_indices=_parse_indices(args.index, parser),
-            strategies=strategies,
-            replications=args.replications,
-            descent_rule=DescentRule(args.descent),
-            probe_budget=args.probe_budget,
-            seed=args.seed,
-            nested=args.nested == "on",
-            max_evaluations=args.max_evals,
-            initial=InitialOrder(args.initial),
-            best_known_file=args.best_known,
-        )
+        spec = ExperimentSpec(**vars(parser.parse_args(argv)))
     except ValueError as exc:  # any value out of range or repeated
         parser.error(str(exc))
 

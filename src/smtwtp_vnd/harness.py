@@ -46,12 +46,12 @@ class ExperimentSpec:
     instance_indices: tuple[int, ...] | None = None  # 1-based; None = all
     strategies: tuple[Strategy, ...] = tuple(Strategy)
     replications: int = 1
-    descent_rule: DescentRule = DescentRule.BEST_IMPROVEMENT
-    probe_budget: int = 100
-    seed: int = 0
-    nested: bool = False
-    max_evaluations: int | None = None
-    initial: InitialOrder = InitialOrder.AS_GIVEN
+    descent_rule: DescentRule = StrategyConfig.descent_rule
+    probe_budget: int = StrategyConfig.probe_budget
+    seed: int = StrategyConfig.seed
+    nested: bool = StrategyConfig.nested
+    max_evaluations: int | None = StrategyConfig.max_evaluations
+    initial: InitialOrder = StrategyConfig.initial
     best_known_file: Path | None = None
 
     def __post_init__(self):
@@ -199,13 +199,10 @@ def read_trace_csv(path: Path) -> RunTrace:
 
 
 def load_benchmark(spec: ExperimentSpec) -> BenchmarkSet:
-    text = Path(spec.instance_file).read_text()
-    benchmark = parse_orlib(text, spec.n, spec.count)
-    if spec.best_known_file is None:
-        return benchmark
-    return BenchmarkSet(benchmark.instances, load_best_known(
-        Path(spec.best_known_file).read_text(), spec.count
-    ))
+    """The instances of `spec.instance_file`.  It stays a function because
+    bench/tracing.py wraps it by name."""
+    return parse_orlib(Path(spec.instance_file).read_text(), spec.n,
+                       spec.count)
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
@@ -215,6 +212,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     Raises ValueError, before any cell runs, when `spec.out_dir` holds a
     trace or crossover file that this run would not overwrite."""
     benchmark = load_benchmark(spec)
+    best_known = ([None] * spec.count if spec.best_known_file is None
+                  else load_best_known(Path(spec.best_known_file).read_text(),
+                                       spec.count))
     indices = (range(1, spec.count + 1) if spec.instance_indices is None
                else spec.instance_indices)
     seeds = range(spec.seed, spec.seed + spec.replications)
@@ -247,7 +247,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
         wall_seconds[key] = time.perf_counter() - started
         write_trace_csv(path, results[key].trace)
 
-    best_known = benchmark.best_known or [None] * spec.count
     summary_file = out_dir / "summary.csv"
     _write_lines(summary_file, [SUMMARY_HEADER] + [
         f"{idx},{label},{seed},{r.best_objective},{r.evaluations_total},"

@@ -20,21 +20,14 @@ class BenchmarkFormatError(ValueError):
 
 @dataclass(frozen=True)
 class BenchmarkSet:
-    """Instances of one benchmark file, all with the same job count, plus an
-    optional aligned list of best-known objective values."""
+    """Instances of one benchmark file, all with the same job count."""
 
     instances: list[Instance]
-    best_known: list[int] | None = None
 
     def __post_init__(self):
         sizes = {inst.n for inst in self.instances}
         if len(sizes) > 1:
             raise ValueError(f"instances have differing job counts: {sorted(sizes)}")
-        if self.best_known is not None and len(self.best_known) != len(self.instances):
-            raise ValueError(
-                f"{len(self.best_known)} best-known values for "
-                f"{len(self.instances)} instances"
-            )
 
 
 def parse_int(text: str) -> int:

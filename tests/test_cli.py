@@ -6,6 +6,14 @@ from pathlib import Path
 import pytest
 
 import smtwtp_vnd
+from smtwtp_vnd import (
+    DescentRule,
+    ExperimentSpec,
+    InitialOrder,
+    Strategy,
+    StrategyConfig,
+    cli,
+)
 from smtwtp_vnd.cli import main
 
 TINY_TEXT = "3 1 2  2 1 1  2 4 3"
@@ -66,6 +74,53 @@ def test_cli_index_list_selects_instances(tmp_path):
     assert code == 0
     traces = sorted(p.name for p in (tmp_path / "out").glob("trace_*.csv"))
     assert traces == ["trace_i001_fixed_s0.csv", "trace_i002_fixed_s0.csv"]
+
+
+def spec_of(argv, monkeypatch):
+    """The spec that `main(argv)` hands to `run_experiment`, which is not
+    run: its stand-in raises OSError, so `main` returns 1."""
+    specs = []
+
+    def capture(spec):
+        specs.append(spec)
+        raise OSError("not run")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    assert main(argv) == 1
+    [spec] = specs
+    return spec
+
+
+def test_cli_flags_map_onto_spec_fields(monkeypatch):
+    required = ["--instances", "in.txt", "--n", "3", "--count", "2",
+                "--out", "out"]
+    given = dict(instance_file=Path("in.txt"), n=3, count=2,
+                 out_dir=Path("out"))
+    assert spec_of(required, monkeypatch) == ExperimentSpec(**given)
+    assert spec_of(required + [
+        "--index", "2,1", "--strategy", "fixed", "--descent", "first",
+        "--probe-budget", "10", "--seed", "3", "--replications", "2",
+        "--nested", "on", "--max-evals", "5000", "--initial", "edd",
+        "--best-known", "best.txt",
+    ], monkeypatch) == ExperimentSpec(
+        **given, instance_indices=(2, 1), strategies=(Strategy.FIXED,),
+        descent_rule=DescentRule.FIRST_IMPROVEMENT, probe_budget=10, seed=3,
+        replications=2, nested=True, max_evaluations=5000,
+        initial=InitialOrder.EDD, best_known_file=Path("best.txt"))
+    assert spec_of(required + [
+        "--strategy", "all", "--index", "all", "--nested", "off",
+    ], monkeypatch) == ExperimentSpec(
+        **given, instance_indices=None, strategies=tuple(Strategy),
+        nested=False)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_spec_run_defaults_are_the_engine_defaults(seed):
+    spec = ExperimentSpec(instance_file=Path("in.txt"), n=3, count=1,
+                          out_dir=Path("out"))
+    for strategy in Strategy:
+        assert spec.config(strategy, seed) == StrategyConfig(strategy,
+                                                             seed=seed)
 
 
 def test_cli_unknown_strategy_is_a_usage_error(tmp_path):

@@ -450,6 +450,41 @@ def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     assert not res.budget_hit
 
 
+def test_descents_account_for_every_evaluation(monkeypatch):
+    # A run evaluates its start once; each other evaluation is reported by
+    # the one descend call that made it, and no probe reports more than its
+    # cap.  A seeded sample of n = 1-30 x strategy x rule x nesting x
+    # budget (none, or one that may stop the run) x probe budget.
+    calls = []
+    original = engine.descend
+
+    def recording_descend(*args, max_candidates=None, **kwargs):
+        result = original(*args, max_candidates=max_candidates, **kwargs)
+        calls.append((max_candidates, result.evaluations))
+        return result
+
+    monkeypatch.setattr(engine, "descend", recording_descend)
+    rng = random.Random(19)
+    grid = list(itertools.product(Strategy, DescentRule, (False, True),
+                                  (False, True), (1, 100)))
+    runs = 0
+    for n in range(1, 31):
+        inst = random_instance(rng, n)
+        for strategy, rule, nested, tight, probe in rng.sample(
+                grid, 24 if n <= 12 else 6):
+            config = StrategyConfig(
+                strategy=strategy, descent_rule=rule, probe_budget=probe,
+                seed=runs, nested=nested,
+                max_evaluations=rng.randint(1, 3 * n * n) if tight else None)
+            calls.clear()
+            result = run(inst, config)
+            assert 1 + sum(e for _, e in calls) == result.evaluations_total, \
+                config
+            assert all(cap is None or e <= cap for cap, e in calls), config
+            runs += 1
+    assert runs == 12 * 24 + 18 * 6
+
+
 def test_descend_stop_precedence():
     # A descent stops at the probe cap or the budget, whichever comes
     # first; `budget_hit` says the budget stopped a scan, and the cap wins

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from smtwtp_vnd import (
+    BenchmarkFormatError,
     ExperimentSpec,
     RunTrace,
     Strategy,
@@ -263,6 +264,16 @@ def test_experiment_gap_omitted_for_zero_best_known(tmp_path):
     output = run_experiment(spec)
     row = output.summary_file.read_text().splitlines()[1]
     assert row.endswith(",")
+
+
+def test_experiment_refuses_best_known_of_another_count(tmp_path):
+    best_known = tmp_path / "best.txt"
+    best_known.write_text("4 5\n")
+    spec = make_spec(tmp_path, best_known_file=best_known)
+    with pytest.raises(BenchmarkFormatError,
+                       match="expected 1 best-known values, found 2"):
+        run_experiment(spec)
+    assert not spec.out_dir.exists()  # refused before any cell ran
 
 
 def test_experiment_rerun_is_byte_identical(tmp_path):

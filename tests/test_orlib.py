@@ -126,14 +126,12 @@ def test_benchmark_set_invariants():
     b = Instance((1,), (1,), (0,))
     with pytest.raises(ValueError, match="differing job counts"):
         BenchmarkSet(instances=[a, b])
-    with pytest.raises(ValueError, match="best-known"):
-        BenchmarkSet(instances=[a], best_known=[1, 2])
 
 
 def test_benchmark_set_is_immutable():
     benchmark = BenchmarkSet(instances=[Instance((1,), (1,), (0,))])
     with pytest.raises(AttributeError):
-        benchmark.best_known = [0]
+        benchmark.instances = []
 
 
 def test_generate_is_deterministic():
