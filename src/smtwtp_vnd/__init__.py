@@ -30,7 +30,6 @@ from .harness import (
 )
 from .neighborhoods import (
     CANONICAL_ORDER,
-    InvalidMoveError,
     Move,
     Neighborhood,
     apply_move,
@@ -59,7 +58,6 @@ __all__ = [
     "ExperimentSpec",
     "InitialOrder",
     "Instance",
-    "InvalidMoveError",
     "Move",
     "Neighborhood",
     "RunResult",

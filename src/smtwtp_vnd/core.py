@@ -63,9 +63,8 @@ class EvalCounter:
 
     count: int = 0
 
-    def tick(self) -> int:
+    def tick(self) -> None:
         self.count += 1
-        return self.count
 
 
 @dataclass

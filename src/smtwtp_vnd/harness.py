@@ -93,8 +93,10 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentOutput:
-    """Written files plus the in-memory results, keyed by
-    (instance index, strategy value, seed)."""
+    """The files a run writes plus its in-memory results, keyed by
+    (instance index, strategy value, seed).  `files` lists every path
+    written: the traces in cell order, then `summary.csv`, `crossover.csv`
+    (only when two or more strategies run) and `metadata.json`."""
 
     out_dir: Path
     trace_files: dict[tuple[int, str, int], Path]
@@ -102,14 +104,7 @@ class ExperimentOutput:
     crossover_file: Path | None
     metadata_file: Path
     results: dict[tuple[int, str, int], RunResult]
-
-    @property
-    def files(self) -> list[Path]:
-        written = list(self.trace_files.values()) + [self.summary_file]
-        if self.crossover_file is not None:
-            written.append(self.crossover_file)
-        written.append(self.metadata_file)
-        return written
+    files: list[Path]
 
 
 def _switch_point(a: list[tuple[int, int]],
@@ -130,30 +125,25 @@ def _switch_point(a: list[tuple[int, int]],
     return start if strictly_better else None
 
 
-def crossover_report(traces: list[RunTrace],
-                     labels: list[str]) -> dict[tuple[str, str], int | None]:
-    """Pairwise step-function comparison of anytime traces.
+def crossover_report(
+        traces: dict[str, RunTrace]) -> dict[tuple[str, str], int | None]:
+    """Pairwise step-function comparison of anytime traces, keyed by label.
 
     Each trace is +inf before its first point and keeps its last best
     objective after its last.  For every ordered pair (a, b) of labels, in
-    label order, the result maps (a, b) to the smallest breakpoint k (an
-    evaluation count of either trace) such that a is never worse than b at
-    every breakpoint >= k and strictly better at one of them, else to None.
+    the mapping's order, the result maps (a, b) to the smallest breakpoint k
+    (an evaluation count of either trace) such that a is never worse than b
+    at every breakpoint >= k and strictly better at one of them, else to
+    None.
     """
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
-    if len(labels) != len(traces):
-        raise ValueError("labels and traces must align")
-    # The report is keyed by label pairs: a repeat would have none.
-    repeated = sorted(v for v, k in Counter(labels).items() if k > 1)
-    if repeated:
-        raise ValueError(f"labels {repeated} repeated")
-    for label, trace in zip(labels, traces):
+    for label, trace in traces.items():
         if not trace.points:
             raise ValueError(f"trace {label!r} is empty")
     return {(a, b): _switch_point(trace_a.points, trace_b.points)
-            for a, trace_a in zip(labels, traces)
-            for b, trace_b in zip(labels, traces) if a != b}
+            for a, trace_a in traces.items()
+            for b, trace_b in traces.items() if a != b}
 
 
 def format_gap(final_objective: int, best_known: int | None) -> str:
@@ -218,20 +208,24 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     indices = (range(1, spec.count + 1) if spec.instance_indices is None
                else spec.instance_indices)
     seeds = range(spec.seed, spec.seed + spec.replications)
-    strategies = [s.value for s in Strategy if s in spec.strategies]
-    emit_crossover = len(strategies) >= 2
+    strategies = [s for s in Strategy if s in spec.strategies]
 
+    # The plan, made before any cell runs: each cell's strategy, in
+    # canonical order, and every path the run writes.
     out_dir = Path(spec.out_dir)
-    trace_files = {
-        (idx, label, seed): out_dir / f"trace_i{idx:03d}_{label}_s{seed}.csv"
-        for idx in indices
-        for seed in seeds
-        for label in strategies
-    }
-    kept = {p.name for p in trace_files.values()} | (
-        {"crossover.csv"} if emit_crossover else set())
+    cells = {(idx, s.value, seed): s
+             for idx in indices for seed in seeds for s in strategies}
+    trace_files = {key: out_dir / "trace_i{:03d}_{}_s{}.csv".format(*key)
+                   for key in cells}
+    summary_file = out_dir / "summary.csv"
+    crossover_file = out_dir / "crossover.csv" if len(strategies) > 1 else None
+    metadata_file = out_dir / "metadata.json"
+    files = [p for p in (*trace_files.values(), summary_file, crossover_file,
+                         metadata_file) if p is not None]
+
+    planned = {p.name for p in files}
     stale = sorted(p.name for pattern in ("trace_*.csv", "crossover.csv")
-                   for p in out_dir.glob(pattern) if p.name not in kept)
+                   for p in out_dir.glob(pattern) if p.name not in planned)
     if stale:
         raise ValueError(f"{out_dir} holds output of another run that this "
                          f"one would not overwrite: {', '.join(stale[:3])}")
@@ -239,15 +233,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
 
     results: dict[tuple[int, str, int], RunResult] = {}
     wall_seconds = {}
-    for key, path in trace_files.items():
-        idx, label, seed = key
+    for key, strategy in cells.items():
+        idx, _, seed = key
         started = time.perf_counter()
         results[key] = run(benchmark.instances[idx - 1],
-                           spec.config(Strategy(label), seed))
+                           spec.config(strategy, seed))
         wall_seconds[key] = time.perf_counter() - started
-        write_trace_csv(path, results[key].trace)
+        write_trace_csv(trace_files[key], results[key].trace)
 
-    summary_file = out_dir / "summary.csv"
     _write_lines(summary_file, [SUMMARY_HEADER] + [
         f"{idx},{label},{seed},{r.best_objective},{r.evaluations_total},"
         f"{r.terminated_by.value},"
@@ -255,20 +248,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
         for (idx, label, seed), r in results.items()
     ])
 
-    crossover_file = None
-    if emit_crossover:
+    if crossover_file is not None:
         lines = [CROSSOVER_HEADER]
         for idx in indices:
             for seed in seeds:
-                report = crossover_report(
-                    [results[idx, label, seed].trace for label in strategies],
-                    strategies)
+                report = crossover_report({
+                    s.value: results[idx, s.value, seed].trace
+                    for s in strategies})
                 lines.extend(f"{idx},{seed},{a},{b},{'none' if k is None else k}"
                              for (a, b), k in report.items())
-        crossover_file = out_dir / "crossover.csv"
         _write_lines(crossover_file, lines)
 
-    metadata_file = out_dir / "metadata.json"
     _write_lines(metadata_file, [json.dumps({
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "cells": [{"instance": idx, "strategy": label, "seed": seed,
@@ -277,7 +267,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     }, indent=2)])
 
     return ExperimentOutput(out_dir, trace_files, summary_file, crossover_file,
-                            metadata_file, results)
+                            metadata_file, results, files)
 
 
 def format_summary_table(summary_file: Path) -> str:

@@ -59,10 +59,6 @@ class Move(NamedTuple):
     j: int
 
 
-class InvalidMoveError(ValueError):
-    """A move whose positions are out of range for the given sequence."""
-
-
 def enumerate_moves(
     kind: Neighborhood, n: int, nested: bool = False
 ) -> tuple[Move, ...]:
@@ -104,7 +100,8 @@ def apply_move(order: Sequence, move: Move) -> Sequence:
     """Apply `move` to `order` and return the new sequence.
 
     Purely positional: the input is left untouched and need not be a
-    0-based permutation.
+    0-based permutation.  Raises ValueError for an unknown kind or for
+    positions out of range for `order`.
     """
     n = len(order)
     kind, i, j = move
@@ -116,9 +113,9 @@ def apply_move(order: Sequence, move: Move) -> Sequence:
     elif kind is Neighborhood.BSH_NO_APEX:
         valid = 0 <= j < i < n
     else:
-        raise InvalidMoveError(f"unknown neighborhood kind: {kind!r}")
+        raise ValueError(f"unknown neighborhood kind: {kind!r}")
     if not valid:
-        raise InvalidMoveError(
+        raise ValueError(
             f"{kind.name} positions ({i}, {j}) out of range for n={n}"
         )
     if k is not None:

@@ -191,7 +191,7 @@ def test_criterion_6_crossover_structure(benchmark_runs):
     # pin them are not part of the contract.  The check is structural.
     labels = [s.value for s in Strategy]
     traces = [benchmark_runs.results[label].trace for label in labels]
-    result = crossover_report(traces, labels)
+    result = crossover_report(dict(zip(labels, traces)))
     assert set(result) == {
         (a, b) for a in labels for b in labels if a != b
     }

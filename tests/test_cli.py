@@ -63,6 +63,15 @@ def test_cli_all_strategies_and_flags(tmp_path):
     assert len(list(out.glob("trace_*.csv"))) == 6
 
 
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "fixed"], [], ["--replications", "2"]])
+def test_cli_counts_the_files_it_wrote(tmp_path, capsys, flags):
+    assert main(base_args(tmp_path) + flags) == 0
+    out = tmp_path / "out"
+    written = len(list(out.iterdir()))
+    assert f"\nwrote {written} files to {out}\n" in capsys.readouterr().out
+
+
 def test_cli_index_list_selects_instances(tmp_path):
     path = tmp_path / "two.txt"
     path.write_text(TINY_TEXT + "  " + TINY_TEXT)

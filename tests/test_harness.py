@@ -51,7 +51,7 @@ def trace(points) -> RunTrace:
 def test_crossover_switch_point():
     a = trace([(1, 100), (10, 50)])
     b = trace([(1, 90), (20, 60)])
-    report = crossover_report([a, b], ["a", "b"])
+    report = crossover_report({"a": a, "b": b})
     assert report["a", "b"] == 10
     assert report["b", "a"] is None
 
@@ -59,14 +59,14 @@ def test_crossover_switch_point():
 def test_crossover_identical_traces_have_no_switch():
     a = trace([(1, 100), (10, 50)])
     b = trace([(1, 100), (10, 50)])
-    report = crossover_report([a, b], ["a", "b"])
+    report = crossover_report({"a": a, "b": b})
     assert report["a", "b"] is None
     assert report["b", "a"] is None
 
 
 def test_crossover_single_point_traces():
     report = crossover_report(
-        [trace([(1, 5)]), trace([(1, 7)])], ["fast", "slow"]
+        {"fast": trace([(1, 5)]), "slow": trace([(1, 7)])}
     )
     assert report["fast", "slow"] == 1
     assert report["slow", "fast"] is None
@@ -75,7 +75,7 @@ def test_crossover_single_point_traces():
 def test_crossover_switch_points_lie_on_a_trace_axis():
     a = trace([(1, 50), (90, 10)])
     b = trace([(3, 40), (15, 30)])
-    report = crossover_report([a, b], ["a", "b"])
+    report = crossover_report({"a": a, "b": b})
     axes = {1, 90} | {3, 15}
     for point in report.values():
         assert point is None or point in axes
@@ -83,27 +83,16 @@ def test_crossover_switch_points_lie_on_a_trace_axis():
 
 def test_crossover_rejects_empty_or_lonely_traces():
     with pytest.raises(ValueError, match="at least two"):
-        crossover_report([trace([(1, 5)])], ["a"])
+        crossover_report({"a": trace([(1, 5)])})
     with pytest.raises(ValueError, match="empty"):
-        crossover_report([trace([(1, 5)]), trace([])], ["a", "b"])
-
-
-def test_crossover_rejects_fewer_labels_than_traces():
-    with pytest.raises(ValueError, match="labels and traces must align"):
-        crossover_report([trace([(1, 5)]), trace([(2, 4)])], ["a"])
-
-
-def test_crossover_rejects_repeated_labels():
-    a, b = trace([(1, 5)]), trace([(2, 4)])
-    with pytest.raises(ValueError, match=r"labels \['x'\] repeated"):
-        crossover_report([a, b], ["x", "x"])
+        crossover_report({"a": trace([(1, 5)]), "b": trace([])})
 
 
 def test_crossover_three_way():
     a = trace([(1, 100), (5, 20)])
     b = trace([(1, 80), (9, 70)])
     c = trace([(2, 20)])
-    report = crossover_report([a, b, c], ["a", "b", "c"])
+    report = crossover_report({"a": a, "b": b, "c": c})
     assert report["a", "b"] == 5
     assert report["c", "b"] == 2
     assert report["c", "a"] == 2
@@ -142,7 +131,8 @@ def test_crossover_matches_its_definition():
             values = sorted(rng.sample(range(12), len(evals)), reverse=True)
             pointss.append(list(zip(evals, values)))  # often starts after 1
         labels = [f"s{i}" for i in range(len(pointss))]
-        report = crossover_report([trace(p) for p in pointss], labels)
+        report = crossover_report(
+            {label: trace(p) for label, p in zip(labels, pointss)})
         assert report == {
             (a, b): reference_switch(pa, pb)
             for a, pa in zip(labels, pointss)
@@ -316,6 +306,24 @@ def test_experiment_refuses_output_of_another_run(tmp_path, first, second,
             make_spec(tmp_path, instance_file=instances, count=2, **second)
         )
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("overrides", [
+    {"strategies": (Strategy.FIXED,)}, {}, {"replications": 2}])
+def test_experiment_files_are_what_it_wrote(tmp_path, overrides):
+    spec = make_spec(tmp_path, **overrides)
+    output = run_experiment(spec)
+    names = [p.name for p in output.files]
+    assert sorted(names) == sorted(p.name for p in output.out_dir.iterdir())
+    # The traces come first, in cell order: instance, seed, strategy.
+    cells = [f"trace_i001_{s.value}_s{seed}.csv"
+             for seed in range(spec.replications)
+             for s in Strategy if s in spec.strategies]
+    assert names[:len(cells)] == cells
+    assert output.files[:len(cells)] == list(output.trace_files.values())
+    assert names[len(cells):] == ["summary.csv", *(
+        ["crossover.csv"] if len(spec.strategies) > 1 else []),
+        "metadata.json"]
 
 
 def test_experiment_metadata_holds_wall_times(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from smtwtp_vnd import (
     CANONICAL_ORDER,
-    InvalidMoveError,
     Move,
     Neighborhood,
     apply_move,
@@ -139,7 +138,7 @@ def test_apply_leaves_input_unchanged():
     (BR5, Move(BR5, 0, 3)),
 ])
 def test_apply_rejects_out_of_range(kind, move):
-    with pytest.raises(InvalidMoveError):
+    with pytest.raises(ValueError, match="out of range for n=5"):
         apply_move((0, 1, 2, 3, 4), move)
 
 
