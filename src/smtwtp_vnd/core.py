@@ -90,8 +90,18 @@ class RunTrace:
         self.points.append((counter.count, objective))
 
 
+def _require(kind: type, **values) -> None:
+    """Raise TypeError naming the first of `values` that is not exactly a
+    `kind`: `bool` is an `int` subclass but not a size, and a string or a
+    number has a truth value but is not a flag."""
+    for name, value in values.items():
+        if type(value) is not kind:
+            raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 def is_permutation(order: Sequence, n: int) -> bool:
     """True iff `order` contains each of 0..n-1 exactly once."""
+    _require(int, n=n)
     return len(order) == n and sorted(order) == list(range(n))
 
 

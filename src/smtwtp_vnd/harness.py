@@ -148,7 +148,9 @@ def crossover_report(
 
 def format_gap(final_objective: int, best_known: int | None) -> str:
     """Relative gap to the best-known value, as an exact rational rounded to
-    four decimal places; empty when best-known is missing or zero."""
+    four decimal places, a tie to the even last digit (0.00005 gives 0.0000,
+    0.00015 and 0.00025 give 0.0002); empty when best-known is missing or
+    zero."""
     if not best_known:
         return ""
     scaled = round(Fraction(final_objective - best_known, best_known) * 10000)

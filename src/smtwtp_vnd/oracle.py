@@ -11,7 +11,7 @@ in the tests and the differential sweep pin the move code.
 
 import math
 
-from .core import Instance, Sequence, is_permutation
+from .core import Instance, Sequence, _require, is_permutation
 from .neighborhoods import Neighborhood, apply_move, enumerate_moves
 
 MAX_EXACT_N = 10
@@ -82,6 +82,7 @@ def certify_local_optimum(
 
     Full enumeration; an empty `kinds` list is vacuously true.
     """
+    _require(bool, nested=nested)
     n = instance.n
     if not is_permutation(order, n):
         raise ValueError("sequence is not a permutation of 0..n-1")

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Instance
+from .core import Instance, _require
 
 
 class BenchmarkFormatError(ValueError):
@@ -69,6 +69,7 @@ def parse_orlib(text: str, n: int, count: int) -> BenchmarkSet:
     tokens ran out) or on a non-integer token (reporting its position,
     1-based).
     """
+    _require(int, n=n, count=count)
     if n < 1 or count < 1:
         raise ValueError("n and count must be >= 1")
     tokens = text.split()
@@ -107,6 +108,7 @@ def serialize_orlib(benchmark: BenchmarkSet) -> str:
 
 def load_best_known(text: str, count: int) -> list[int]:
     """Parse `count` best-known objective values (zero is a legal value)."""
+    _require(int, count=count)
     tokens = text.split()
     if len(tokens) != count:
         raise BenchmarkFormatError(
@@ -131,6 +133,7 @@ def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
     processing, then all weights, then all due dates), so a given
     (n, seed, rdd, tf) always yields the same instance.
     """
+    _require(int, n=n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < rdd <= 1:
@@ -159,6 +162,7 @@ def generate_benchmark_set(
     """A full (rdd, tf) grid of generated instances, `replicates` per cell;
     the default grid gives the classical 125-instance shape.  Instance k
     uses seed `seed + k`."""
+    _require(int, n=n, replicates=replicates)
     instances = []
     k = 0
     for rdd in rdd_values:

@@ -6,9 +6,17 @@ import pytest
 from smtwtp_vnd import (
     EvalCounter,
     Instance,
+    Neighborhood,
     RunTrace,
+    certify_local_optimum,
+    enumerate_moves,
+    generate_benchmark_set,
+    generate_instance,
     is_permutation,
+    load_best_known,
+    neighborhood_size,
     objective_value,
+    parse_orlib,
 )
 
 from .conftest import ref_objective, random_instance
@@ -86,6 +94,41 @@ def test_is_permutation():
     assert is_permutation((2, 0, 1), 3)
     assert not is_permutation((0, 1), 3)
     assert not is_permutation((0, 0, 2), 3)
+
+
+EX = Neighborhood.EX_NO_APEX
+
+
+# A size or flag of another type would run as another setting: True counts
+# as 1, 2.5 as a size and "off" as a true flag.  Each is refused by name
+# before any other check: most functions' last case also breaks another.
+@pytest.mark.parametrize("function, arguments, name", [
+    (enumerate_moves, dict(kind=EX, n=5, nested="off"), "nested"),
+    (enumerate_moves, dict(kind=EX, n=True), "n"),
+    (enumerate_moves, dict(kind=EX, n=0, nested=1), "nested"),
+    (neighborhood_size, dict(kind=EX, n=5, nested="off"), "nested"),
+    (neighborhood_size, dict(kind=EX, n=2.5), "n"),
+    (neighborhood_size, dict(kind="ex", n=2.5), "n"),
+    (certify_local_optimum, dict(
+        instance=generate_instance(6, 3, 0.6, 0.4), order=(0, 3, 5, 1, 4, 2),
+        kinds=[EX], nested="off"), "nested"),
+    (certify_local_optimum, dict(
+        instance=generate_instance(6, 3, 0.6, 0.4), order=(0, 0),
+        kinds=[EX], nested=None), "nested"),
+    (parse_orlib, dict(text="3 1 2", n=True, count=1), "n"),
+    (parse_orlib, dict(text="3 1 2", n=1, count=1.0), "count"),
+    (parse_orlib, dict(text="3 1 2", n=1.0, count=0), "n"),
+    (load_best_known, dict(text="5", count=True), "count"),
+    (load_best_known, dict(text="5 6", count=1.0), "count"),
+    (generate_benchmark_set, dict(n=3, seed=1, replicates=True), "replicates"),
+    (generate_benchmark_set, dict(n=0, seed=1, replicates=1.0), "replicates"),
+    (generate_instance, dict(n=True, seed=1, rdd=0.6, tf=0.4), "n"),
+    (generate_instance, dict(n=2.0, seed=1, rdd=2, tf=0.4), "n"),
+    (is_permutation, dict(order=(0,), n=True), "n"),
+])
+def test_sizes_and_flags_must_have_their_exact_type(function, arguments, name):
+    with pytest.raises(TypeError, match=f"^{name} must be "):
+        function(**arguments)
 
 
 def test_trace_records_first_point():

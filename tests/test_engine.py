@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -321,99 +323,6 @@ def test_fixed_matches_classical_vnd():
                     result.trace.points) == reference_fixed(inst, config)
 
 
-@pytest.mark.parametrize("strategy", list(Strategy))
-@pytest.mark.parametrize("rule", list(DescentRule))
-def test_exhausted_runs_are_locally_optimal_everywhere(strategy, rule):
-    rng = random.Random(f"{strategy.value}:{rule.value}")
-    for trial in range(18):
-        n = rng.randint(2, 10)
-        inst = random_instance(rng, n)
-        config = StrategyConfig(
-            strategy=strategy, descent_rule=rule, seed=trial,
-            initial=InitialOrder.RANDOM,
-        )
-        result = run(inst, config)
-        assert result.terminated_by is Termination.ALL_NEIGHBORHOODS_EXHAUSTED
-        assert certify_local_optimum(
-            inst, result.best_sequence, list(Neighborhood)
-        )
-        if n <= 8:  # exhaustive comparison stays cheap
-            best, _ = brute_force_optimum(inst)
-            assert result.best_objective >= best
-        assert result.best_objective == objective_value(
-            inst, result.best_sequence
-        )
-        assert_valid_trace(result.trace)
-
-
-def test_every_strategy_stops_only_at_a_local_optimum():
-    # Without a budget every run ends exhausted, and that must mean every
-    # neighborhood was scanned whole at the final incumbent: the sequence
-    # is certified, and the run spent at least one scan of each.
-    settings = [(Strategy.FIXED, 100), (Strategy.RANDOM, 100),
-                (Strategy.ADAPTIVE, 1), (Strategy.ADAPTIVE, 100)]
-    for n, index in [(12, 41), (20, 81)]:
-        inst = generate_benchmark_set(n=n, seed=7).instances[index - 1]
-        for (strategy, probe_budget), rule, nested in itertools.product(
-            settings, DescentRule, (False, True)
-        ):
-            result = run(inst, StrategyConfig(
-                strategy=strategy, descent_rule=rule, nested=nested,
-                probe_budget=probe_budget, seed=n))
-            assert result.terminated_by is \
-                Termination.ALL_NEIGHBORHOODS_EXHAUSTED
-            assert certify_local_optimum(
-                inst, result.best_sequence, list(Neighborhood), nested)
-            assert result.evaluations_total >= 1 + sum(
-                neighborhood_size(kind, n, nested) for kind in Neighborhood)
-
-
-@pytest.mark.parametrize("strategy", list(Strategy))
-def test_budget_termination_is_exact(strategy):
-    rng = random.Random(17)
-    inst = random_instance(rng, 12)
-    natural = run(inst, StrategyConfig(strategy=strategy, seed=1))
-    assert natural.terminated_by is Termination.ALL_NEIGHBORHOODS_EXHAUSTED
-    for budget in (1, 2, 5, natural.evaluations_total - 1):
-        config = StrategyConfig(
-            strategy=strategy, seed=1, max_evaluations=budget
-        )
-        result = run(inst, config)
-        assert result.terminated_by is Termination.EVALUATION_BUDGET
-        assert result.evaluations_total == budget
-        assert result.trace.points[-1][1] == result.best_objective
-        assert_valid_trace(result.trace)
-
-
-@pytest.mark.parametrize("strategy", list(Strategy))
-def test_budget_larger_than_needed_does_not_trigger(strategy):
-    rng = random.Random(18)
-    inst = random_instance(rng, 8)
-    natural = run(inst, StrategyConfig(strategy=strategy, seed=2))
-    capped = run(inst, StrategyConfig(
-        strategy=strategy, seed=2,
-        max_evaluations=natural.evaluations_total + 1,
-    ))
-    assert capped == natural
-
-
-def test_budget_stop_keeps_best_candidate_seen():
-    # Interrupting a best-improvement scan must not lose an improving
-    # candidate that was already evaluated.
-    rng = random.Random(19)
-    for trial in range(20):
-        inst = random_instance(rng, 10)
-        config = StrategyConfig(
-            strategy=Strategy.FIXED, max_evaluations=rng.randint(2, 40),
-            seed=trial,
-        )
-        result = run(inst, config)
-        assert result.best_objective == result.trace.points[-1][1]
-        assert result.best_objective == objective_value(
-            inst, result.best_sequence
-        )
-
-
 def test_first_improvement_uses_fewer_evaluations_per_step(tiny_instance):
     # From (2,1,0), EX's only move already improves; both rules find it.
     for rule in DescentRule:
@@ -423,18 +332,6 @@ def test_first_improvement_uses_fewer_evaluations_per_step(tiny_instance):
                       config, counter, trace,
                       start_objective=objective_value(tiny_instance, (2, 1, 0)))
         assert res.objective == 5
-
-
-def test_nested_runs_terminate_and_certify_nested_optimality():
-    rng = random.Random(23)
-    for strategy in Strategy:
-        inst = random_instance(rng, 7)
-        config = StrategyConfig(strategy=strategy, nested=True, seed=4)
-        result = run(inst, config)
-        assert result.terminated_by is Termination.ALL_NEIGHBORHOODS_EXHAUSTED
-        assert certify_local_optimum(
-            inst, result.best_sequence, list(Neighborhood), nested=True
-        )
 
 
 def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
@@ -448,41 +345,6 @@ def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     assert res.evaluations == 1
     assert counter.count == 1
     assert not res.budget_hit
-
-
-def test_descents_account_for_every_evaluation(monkeypatch):
-    # A run evaluates its start once; each other evaluation is reported by
-    # the one descend call that made it, and no probe reports more than its
-    # cap.  A seeded sample of n = 1-30 x strategy x rule x nesting x
-    # budget (none, or one that may stop the run) x probe budget.
-    calls = []
-    original = engine.descend
-
-    def recording_descend(*args, max_candidates=None, **kwargs):
-        result = original(*args, max_candidates=max_candidates, **kwargs)
-        calls.append((max_candidates, result.evaluations))
-        return result
-
-    monkeypatch.setattr(engine, "descend", recording_descend)
-    rng = random.Random(19)
-    grid = list(itertools.product(Strategy, DescentRule, (False, True),
-                                  (False, True), (1, 100)))
-    runs = 0
-    for n in range(1, 31):
-        inst = random_instance(rng, n)
-        for strategy, rule, nested, tight, probe in rng.sample(
-                grid, 24 if n <= 12 else 6):
-            config = StrategyConfig(
-                strategy=strategy, descent_rule=rule, probe_budget=probe,
-                seed=runs, nested=nested,
-                max_evaluations=rng.randint(1, 3 * n * n) if tight else None)
-            calls.clear()
-            result = run(inst, config)
-            assert 1 + sum(e for _, e in calls) == result.evaluations_total, \
-                config
-            assert all(cap is None or e <= cap for cap, e in calls), config
-            runs += 1
-    assert runs == 12 * 24 + 18 * 6
 
 
 def test_descend_stop_precedence():
@@ -543,49 +405,118 @@ def test_a_phantom_improvement_fails_fast(tiny_instance, change, scans,
     assert len(trace.points) <= start_objective + 1
 
 
-def test_trace_is_running_minimum_of_all_evaluations(monkeypatch):
-    # Every objective the run determines is logged; the trace must hold
-    # exactly the strict running minima of that log, each at its 1-based
-    # position, and the log must be as long as the evaluation total.  The
-    # kernel scores candidates without `objective_value`, so the log comes
-    # from the from-scratch reference descent, and the kernel's run must
-    # equal the reference's.
-    log = []
-    original = engine.objective_value
+# --- the run grid: each run-level property, on every run it applies to -----
 
+
+def run_grid():
+    """`(instance, config, budget, reference budget)` for a seeded sample of
+    n = 1-30 x strategy x rule x nesting x initial order x probe budget, and
+    each strategy x rule x nesting on generated instances of 12 and 20 jobs."""
+    rng, seeds = random.Random(12), itertools.count()
+    sample = list(itertools.product(Strategy, DescentRule, (False, True),
+                                    InitialOrder, (1, 100)))
+    grid = [(inst, StrategyConfig(s, rule, probe, next(seeds), nested,
+                                  initial=initial))
+            for n in range(1, 31) for inst in [random_instance(rng, n)]
+            for s, rule, nested, initial, probe in rng.sample(
+                sample, 24 if n <= 12 else 6)]
+    for n, index in [(12, 41), (20, 81)]:
+        inst = generate_benchmark_set(n=n, seed=7).instances[index - 1]
+        grid += [(inst, StrategyConfig(s, rule, probe, n, nested))
+                 for s, probe in [*zip(Strategy, [100] * 3),
+                                  (Strategy.ADAPTIVE, 1)]
+                 for rule in DescentRule for nested in (False, True)]
+    for k, (inst, config) in enumerate(grid):
+        budget = rng.randint(1, 3 * inst.n * inst.n)
+        yield inst, config, budget, None if k % 4 == 0 else budget
+
+
+@pytest.fixture(scope="module")
+def grid_runs():
+    """Per configuration, `(instance, config, result, calls)` for its runs
+    without a budget, at its budget and, when n <= 12, at 1, 2 and the
+    unbudgeted total - 1, + 0 and + 1, `calls` holding each `descend` call's
+    cap and evaluations; and `(kernel, reference, log)` for its run at the
+    reference budget through the from-scratch descent, logging objectives."""
+    groups, references, calls, log = [], [], [], []
+    def recording(*args, max_candidates=None, **kwargs):
+        result = descend(*args, max_candidates=max_candidates, **kwargs)
+        calls.append((max_candidates, result.evaluations))
+        return result
     def logging_objective(instance, order):
-        value = original(instance, order)
-        log.append(value)
-        return value
+        log.append(objective_value(instance, order))
+        return log[-1]
+    def record(inst, config, budget):
+        calls.clear()
+        config = replace(config, max_evaluations=budget)
+        return inst, config, run(inst, config), list(calls)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "descend", recording)
+        for inst, config, budget, reference in run_grid():
+            free = record(inst, config, None)
+            total = free[2].evaluations_total
+            budgets = {budget} | ({1, 2, total - 1, total, total + 1} - {0}
+                                  if inst.n <= 12 else set())
+            groups.append([free] + [record(inst, config, b)
+                                    for b in sorted(budgets)])
+            kernel = {g[1].max_evaluations: g for g in groups[-1]}[reference]
+            with pytest.MonkeyPatch.context() as r:
+                r.setattr(engine, "descend", reference_engine.descend)
+                for module in engine, reference_engine:
+                    r.setattr(module, "objective_value", logging_objective)
+                log.clear()
+                references.append((kernel[2], run(inst, kernel[1]), list(log)))
+    return groups, references
 
-    rng = random.Random(31)
-    settings = [(Strategy.RANDOM, 100), (Strategy.FIXED, 100),
-                (Strategy.ADAPTIVE, 1), (Strategy.ADAPTIVE, 100)]
-    runs = 0
-    for n in (2, 3, 5, 8, 12, 20):
-        inst = random_instance(rng, n)
-        for (strategy, probe_budget), rule, nested, budget in itertools.product(
-            settings, DescentRule, (False, True), (None, 37)
-        ):
-            config = StrategyConfig(
-                strategy=strategy, descent_rule=rule, probe_budget=probe_budget,
-                seed=runs, nested=nested, max_evaluations=budget,
-                initial=InitialOrder.RANDOM,
-            )
-            kernel = run(inst, config)
-            log.clear()
-            with monkeypatch.context() as m:
-                m.setattr(engine, "descend", reference_engine.descend)
-                m.setattr(engine, "objective_value", logging_objective)
-                m.setattr(reference_engine, "objective_value",
-                          logging_objective)
-                result = run(inst, config)
-            assert len(log) == result.evaluations_total
-            minima = []
-            for position, value in enumerate(log, start=1):
-                if not minima or value < minima[-1][1]:
-                    minima.append((position, value))
-            assert result.trace.points == minima
-            assert kernel == result
-            runs += 1
-    assert runs == 192
+
+def test_grid_runs_account_for_every_evaluation(grid_runs):
+    # 1 for the start plus each descend call's report, none above its cap.
+    groups, references = grid_runs
+    assert len(groups) == len(references) == 12 * 24 + 18 * 6 + 32
+    for _, config, result, calls in itertools.chain(*groups):
+        assert 1 + sum(e for _, e in calls) == result.evaluations_total, config
+        assert all(cap is None or e <= cap for cap, e in calls), config
+
+
+def test_grid_runs_keep_their_best(grid_runs):
+    for inst, config, result, _ in itertools.chain(*grid_runs[0]):
+        assert_valid_trace(result.trace)
+        assert result.best_objective == result.trace.points[-1][1] \
+            == objective_value(inst, result.best_sequence), config
+
+
+def test_unbudgeted_grid_runs_stop_only_at_a_local_optimum(grid_runs):
+    optimum = functools.cache(brute_force_optimum)
+    certified = functools.cache(certify_local_optimum)  # many runs end alike
+    for (inst, config, result, _), *_ in grid_runs[0]:
+        assert result.terminated_by is Termination.ALL_NEIGHBORHOODS_EXHAUSTED
+        assert certified(inst, result.best_sequence, CANONICAL_ORDER,
+                         config.nested), config
+        assert result.evaluations_total >= 1 + sum(
+            neighborhood_size(kind, inst.n, config.nested)
+            for kind in Neighborhood)
+        if inst.n <= 8:  # exhaustive comparison stays cheap
+            assert result.best_objective >= optimum(inst)[0]
+
+
+def test_a_budget_only_truncates_a_grid_run(grid_runs):
+    for (_, _, free, _), *budgeted in grid_runs[0]:
+        for _, config, result, _ in budgeted:
+            budget = config.max_evaluations
+            if budget >= free.evaluations_total:
+                assert result == free, config
+                continue
+            assert result.terminated_by is Termination.EVALUATION_BUDGET
+            assert result.evaluations_total == budget, config
+            assert result.trace.points == [
+                point for point in free.trace.points if point[0] <= budget]
+
+
+def test_grid_runs_equal_the_reference_descent(grid_runs):
+    # The trace holds exactly the log's strict running minima, 1-based.
+    for kernel, reference, log in grid_runs[1]:
+        assert reference == kernel
+        assert len(log) == reference.evaluations_total
+        low = list(itertools.accumulate(log, min))
+        assert reference.trace.points == [
+            (k, v) for k, v in enumerate(low, 1) if k == 1 or v < low[k - 2]]

@@ -148,6 +148,11 @@ def test_crossover_matches_its_definition():
     (4, 3, "0.3333"),
     (400, 300, "0.3333"),
     (2, 30000, "-0.9999"),
+    # A gap halfway between two steps rounds to the even one.
+    (20001, 20000, "0.0000"),
+    (20003, 20000, "0.0002"),
+    (20005, 20000, "0.0002"),
+    (19997, 20000, "-0.0002"),
     (100, 0, ""),
     (100, None, ""),
 ])

@@ -1,6 +1,6 @@
 """The delta-evaluation kernel of `engine.descend` against from-scratch
-evaluation: move by move, and run by run against the reference descent in
-`tests/reference_engine.py`."""
+evaluation, move by move.  `tests/test_engine.py`'s run grid compares whole
+runs with the reference descent in `tests/reference_engine.py`."""
 
 import itertools
 import math
@@ -9,9 +9,7 @@ import random
 import pytest
 
 from smtwtp_vnd import (
-    DescentRule,
     EvalCounter,
-    InitialOrder,
     Instance,
     Neighborhood,
     RunTrace,
@@ -20,11 +18,9 @@ from smtwtp_vnd import (
     apply_move,
     enumerate_moves,
     objective_value,
-    run,
 )
 from smtwtp_vnd import engine
 
-from . import reference_engine
 from .conftest import random_instance
 
 
@@ -102,6 +98,26 @@ def test_every_candidate_value_is_exact(kind, nested):
                     assert first_scan(0, last) == improving(every[:last])
 
 
+def test_every_scan_of_every_small_permutation_is_exact():
+    # Exhaustive at small n: every order of n = 1-6 jobs, for every kind and
+    # nesting and three instances of different tightness.
+    rng = random.Random(6)
+    scans = 0
+    for n in range(1, 7):
+        for inst, kind, nested in itertools.product(
+                list(instances(rng, n)), Neighborhood, (False, True)):
+            moves = enumerate_moves(kind, n, nested)
+            for seq in itertools.permutations(range(n)):
+                counter = EvalCounter()
+                found = ticked(engine._scan(
+                    kind, nested, position_tables(inst, seq), [math.inf],
+                    [0] * n, 0, n - 1, len(moves), counter.tick), counter)
+                assert list(found) == scored(inst, seq, moves), \
+                    (kind, nested, seq)
+                scans += 1
+    assert scans == 3 * 7 * 2 * sum(math.factorial(n) for n in range(1, 7))
+
+
 @pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("kind", list(Neighborhood))
 def test_chained_rescans_are_exact(kind, nested, monkeypatch):
@@ -161,27 +177,3 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
                 start_objective=objective_value(inst, start) + len(chain))
             assert not chain and result.sequence == seq
     assert checked > 1000
-
-
-def test_runs_equal_the_reference_descent(monkeypatch):
-    # A seeded sample of n = 1-30 x strategy x rule x nesting x initial
-    # order x budget (none, or one that may stop the run) x probe budget.
-    rng = random.Random(12)
-    grid = list(itertools.product(Strategy, DescentRule, (False, True),
-                                  InitialOrder, (False, True), (1, 100)))
-    runs = 0
-    for n in range(1, 31):
-        inst = random_instance(rng, n)
-        for strategy, rule, nested, initial, tight, probe in rng.sample(
-                grid, 24 if n <= 12 else 6):
-            config = StrategyConfig(
-                strategy=strategy, descent_rule=rule, probe_budget=probe,
-                seed=runs, nested=nested, initial=initial,
-                max_evaluations=rng.randint(1, 3 * n * n) if tight else None)
-            kernel = run(inst, config)
-            with monkeypatch.context() as m:
-                m.setattr(engine, "descend", reference_engine.descend)
-                reference = run(inst, config)
-            assert kernel == reference, config
-            runs += 1
-    assert runs == 12 * 24 + 18 * 6
