@@ -28,7 +28,9 @@ from enum import Enum
 from itertools import accumulate
 from typing import NamedTuple, get_args
 
-from .core import EvalCounter, Instance, RunTrace, Sequence, objective_value
+from .core import (
+    EvalCounter, Instance, RunTrace, Sequence, _require, objective_value,
+)
 # enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
     _BLOCK_LENGTH,
@@ -288,12 +290,13 @@ def descend(
     in the neighborhood's deterministic move order, tick the counter once
     per move, and yield only the moves that improve on their best so far,
     each of which goes to `trace`.  A scan stops when the counter reaches
-    `max_candidates` evaluations of this call (adaptive's probe cap) or the
-    run's `config.max_evaluations`.  The best improving candidate of a
-    stopped scan is still accepted, so the returned sequence is always the
-    best sequence evaluated.  The last scan yields nothing, so it runs to
-    its stop or the neighborhood's end; `budget_hit` says it stopped short
-    of that end, at the budget rather than the cap (the cap wins a tie).
+    `max_candidates` evaluations of this call (adaptive's probe cap; an
+    `int` of at least 1 when set) or the run's `config.max_evaluations`.
+    The best improving candidate of a stopped scan is still accepted, so
+    the returned sequence is always the best sequence evaluated.  The last
+    scan yields nothing, so it runs to its stop or the neighborhood's end;
+    `budget_hit` says it stopped short of that end, at the budget rather
+    than the cap (the cap wins a tie).
     RuntimeError is raised when an accept would not lower the objective or
     would take it below 0, so a faulty scan cannot make the descent run
     away.
@@ -303,7 +306,13 @@ def descend(
     tick = counter.tick
     entry = counter.count
     # One stop count per call; a limit that is not set is none.
-    cap = math.inf if max_candidates is None else entry + max_candidates
+    cap = math.inf
+    if max_candidates is not None:
+        # True would run as a cap of 1, and a cap below 1 would scan nothing.
+        if type(max_candidates) is not int or max_candidates < 1:
+            _require(int, max_candidates=max_candidates)
+            raise ValueError("max_candidates must be >= 1 when set")
+        cap = entry + max_candidates
     stop = min(cap, config.max_evaluations or math.inf)
     p, w, d = instance.processing, instance.weight, instance.due
     n = len(current)

@@ -133,7 +133,7 @@ def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
     processing, then all weights, then all due dates), so a given
     (n, seed, rdd, tf) always yields the same instance.
     """
-    _require(int, n=n)
+    _require(int, n=n, seed=seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < rdd <= 1:
@@ -162,7 +162,7 @@ def generate_benchmark_set(
     """A full (rdd, tf) grid of generated instances, `replicates` per cell;
     the default grid gives the classical 125-instance shape.  Instance k
     uses seed `seed + k`."""
-    _require(int, n=n, replicates=replicates)
+    _require(int, n=n, seed=seed, replicates=replicates)
     instances = []
     k = 0
     for rdd in rdd_values:

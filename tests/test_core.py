@@ -27,11 +27,6 @@ def test_objective_single_job():
     assert objective_value(inst, (0,)) == 4
 
 
-def test_objective_three_jobs(tiny_instance):
-    # Completion times 6, 1, 3 for jobs 0, 1, 2: only job 0 is late, by 4.
-    assert objective_value(tiny_instance, (1, 2, 0)) == 8
-
-
 def test_objective_identity_order_is_brute_force_optimum(tiny_instance):
     # Exhaustive check: 5 is attained at (0,1,2) and no permutation beats it.
     values = {
@@ -122,8 +117,11 @@ EX = Neighborhood.EX_NO_APEX
     (load_best_known, dict(text="5 6", count=1.0), "count"),
     (generate_benchmark_set, dict(n=3, seed=1, replicates=True), "replicates"),
     (generate_benchmark_set, dict(n=0, seed=1, replicates=1.0), "replicates"),
+    (generate_benchmark_set, dict(n=3, seed=True), "seed"),
     (generate_instance, dict(n=True, seed=1, rdd=0.6, tf=0.4), "n"),
     (generate_instance, dict(n=2.0, seed=1, rdd=2, tf=0.4), "n"),
+    (generate_instance, dict(n=3, seed=2.5, rdd=0.6, tf=0.4), "seed"),
+    (generate_instance, dict(n=3, seed="1", rdd=0.6, tf=0.4), "seed"),
     (is_permutation, dict(order=(0,), n=True), "n"),
 ])
 def test_sizes_and_flags_must_have_their_exact_type(function, arguments, name):

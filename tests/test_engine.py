@@ -347,6 +347,18 @@ def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     assert not res.budget_hit
 
 
+@pytest.mark.parametrize("cap, error", [
+    (True, TypeError), (2.5, TypeError), (0, ValueError), (-5, ValueError),
+])
+def test_descend_refuses_a_probe_cap_that_is_not_an_int_of_one_or_more(
+        tiny_instance, cap, error):
+    with pytest.raises(error, match="^max_candidates must be "):
+        descend(tiny_instance, (2, 1, 0), Neighborhood.APEX, FIXED_CFG,
+                EvalCounter(), RunTrace(),
+                start_objective=objective_value(tiny_instance, (2, 1, 0)),
+                max_candidates=cap)
+
+
 def test_descend_stop_precedence():
     # A descent stops at the probe cap or the budget, whichever comes
     # first; `budget_hit` says the budget stopped a scan, and the cap wins

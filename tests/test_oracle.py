@@ -26,12 +26,6 @@ def test_all_due_dates_zero_reduces_to_weighted_completion():
     assert sequence == (0, 1, 2)
 
 
-def test_three_job_optimum(tiny_instance):
-    objective, sequence = brute_force_optimum(tiny_instance)
-    assert objective == 5
-    assert sequence == (0, 1, 2)
-
-
 def test_single_job():
     inst = Instance(processing=(7,), weight=(3,), due=(4,))
     assert brute_force_optimum(inst) == (3 * (7 - 4), (0,))
