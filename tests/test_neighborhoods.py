@@ -131,20 +131,19 @@ def _reference_apply(order, move):
     return tuple(result)
 
 
+# Every size the engine's run grid runs, and the paper's n = 100 (whose
+# literal counts are acceptance criterion 1).
+@pytest.mark.parametrize("n", [*range(1, 31), 100])
 @pytest.mark.parametrize("nested", [False, True])
 @pytest.mark.parametrize("kind", list(Neighborhood))
-def test_moves_match_their_definitions(kind, nested):
-    # The paper's n = 100 counts are acceptance criterion 1.
-    for n in [*range(1, 13), 29, 100]:
-        moves = list(enumerate_moves(kind, n, nested))
-        assert moves == definition(kind, n, nested), n
-        assert neighborhood_size(kind, n, nested) == len(moves), n
-        if n > 12:
-            continue
-        order = tuple(range(10, 10 + n))
-        for move in moves:
-            neighbor = apply_move(order, move)
-            assert neighbor == _reference_apply(order, move), move
-            # The move changes exactly the span between its two positions.
-            changed = [p for p in range(n) if neighbor[p] != order[p]]
-            assert (changed[0], changed[-1]) == tuple(sorted(move[1:])), move
+def test_moves_match_their_definitions(kind, nested, n):
+    moves = list(enumerate_moves(kind, n, nested))
+    assert moves == definition(kind, n, nested)
+    assert neighborhood_size(kind, n, nested) == len(moves)
+    order = tuple(range(10, 10 + n))
+    for move in moves if n <= 12 else []:
+        neighbor = apply_move(order, move)
+        assert neighbor == _reference_apply(order, move), move
+        # The move changes exactly the span between its two positions.
+        changed = [p for p in range(n) if neighbor[p] != order[p]]
+        assert (changed[0], changed[-1]) == tuple(sorted(move[1:])), move
