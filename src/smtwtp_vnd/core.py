@@ -99,10 +99,21 @@ def _require(kind: type, **values) -> None:
             raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
+def _require_count(**values) -> None:
+    """The one rule for a size or count: `_require(int, **values)`, then
+    raise ValueError naming the first of `values` below 1."""
+    _require(int, **values)
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def is_permutation(order: Sequence, n: int) -> bool:
-    """True iff `order` contains each of 0..n-1 exactly once."""
+    """True iff `order` contains each of 0..n-1 exactly once, each an `int`
+    (`True` is not the job 1)."""
     _require(int, n=n)
-    return len(order) == n and sorted(order) == list(range(n))
+    return (len(order) == n and all(type(j) is int for j in order)
+            and sorted(order) == list(range(n)))
 
 
 def objective_value(instance: Instance, order: Sequence) -> int:

@@ -28,9 +28,8 @@ from enum import Enum
 from itertools import accumulate
 from typing import NamedTuple, get_args
 
-from .core import (
-    EvalCounter, Instance, RunTrace, Sequence, _require, objective_value,
-)
+from .core import (EvalCounter, Instance, RunTrace, Sequence, _require_count,
+                   objective_value)
 # enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
     _BLOCK_LENGTH,
@@ -81,13 +80,14 @@ class StrategyConfig:
         for f in fields(self):
             # Exact types: `bool` is an `int` subclass, not a count or seed.
             value = getattr(self, f.name)
-            if type(value) not in (get_args(f.type) or (f.type,)):
-                name = getattr(f.type, "__name__", f.type)
-                raise TypeError(f"{f.name} must be {name}, got {value!r}")
-        if self.probe_budget < 1:
-            raise ValueError("probe_budget must be >= 1")
-        if self.max_evaluations is not None and self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1 when set")
+            # A field of `int | None` is named by its first type, int.
+            kinds = get_args(f.type) or (f.type,)
+            if type(value) not in kinds:
+                raise TypeError(f"{f.name} must be {kinds[0].__name__}, "
+                                f"got {value!r}")
+        _require_count(probe_budget=self.probe_budget)
+        if self.max_evaluations is not None:
+            _require_count(max_evaluations=self.max_evaluations)
 
 
 @dataclass(frozen=True)
@@ -310,8 +310,7 @@ def descend(
     if max_candidates is not None:
         # True would run as a cap of 1, and a cap below 1 would scan nothing.
         if type(max_candidates) is not int or max_candidates < 1:
-            _require(int, max_candidates=max_candidates)
-            raise ValueError("max_candidates must be >= 1 when set")
+            _require_count(max_candidates=max_candidates)
         cap = entry + max_candidates
     stop = min(cap, config.max_evaluations or math.inf)
     p, w, d = instance.processing, instance.weight, instance.due

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .core import RunTrace
+from .core import RunTrace, _require, _require_count
 from .engine import (
     DescentRule,
     InitialOrder,
@@ -55,19 +55,15 @@ class ExperimentSpec:
     best_known_file: Path | None = None
 
     def __post_init__(self):
-        ints = (self.n, self.count, self.replications,
-                *(self.instance_indices or ()))
-        bad = [v for v in ints if type(v) is not int]  # bool is no count
-        if bad:
-            raise TypeError("n, count, replications and instance indices "
-                            f"must be int, got {bad[0]!r}")
-        if min(self.n, self.count, self.replications) < 1:
-            raise ValueError("n, count and replications must be >= 1")
+        _require_count(n=self.n, count=self.count,
+                       replications=self.replications)
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         if self.instance_indices is not None:
             if not self.instance_indices:
                 raise ValueError("instance_indices is empty (None selects all)")
+            for index in self.instance_indices:
+                _require(int, instance_indices=index)
             bad = [i for i in self.instance_indices if not 1 <= i <= self.count]
             if bad:
                 raise ValueError(

@@ -20,7 +20,7 @@ pairs), which `neighborhood_size` counts in closed form.
 from enum import Enum
 from typing import NamedTuple
 
-from .core import Sequence, _require
+from .core import Sequence, _require, _require_count
 
 
 class Neighborhood(Enum):
@@ -65,10 +65,8 @@ def enumerate_moves(
     """Every distinct move of `kind` on a sequence of length n, exactly once,
     in ascending (i, j) scan order.  Empty when n is below the operator's
     minimum size."""
-    _require(int, n=n)
     _require(bool, nested=nested)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_count(n=n)
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
         return tuple(Move(kind, i, i + k - 1) for i in range(n - k + 1))
@@ -87,12 +85,10 @@ def enumerate_moves(
 def neighborhood_size(kind: Neighborhood, n: int, nested: bool = False) -> int:
     """Closed-form count of the distinct moves of `kind` on a sequence of
     length n, clamped at 0; equals len(enumerate_moves(kind, n, nested))."""
-    # One compare per argument: this runs once per descent.
-    if type(n) is not int or type(nested) is not bool:
-        _require(int, n=n)
+    # One inline compare: this runs once per descent.
+    if type(n) is not int or type(nested) is not bool or n < 1:
         _require(bool, nested=nested)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+        _require_count(n=n)
     if kind not in CANONICAL_ORDER:
         raise ValueError(f"unknown neighborhood kind: {kind!r}")
     k = _BLOCK_LENGTH.get(kind)

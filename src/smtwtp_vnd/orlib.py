@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import Instance, _require
+from .core import Instance, _require, _require_count
 
 
 class BenchmarkFormatError(ValueError):
@@ -26,8 +26,8 @@ class BenchmarkSet:
 
     def __post_init__(self):
         sizes = {inst.n for inst in self.instances}
-        if len(sizes) > 1:
-            raise ValueError(f"instances have differing job counts: {sorted(sizes)}")
+        if len(sizes) != 1:
+            raise ValueError(f"instances must share one job count, got {sorted(sizes)}")
 
 
 def parse_int(text: str) -> int:
@@ -69,9 +69,7 @@ def parse_orlib(text: str, n: int, count: int) -> BenchmarkSet:
     tokens ran out) or on a non-integer token (reporting its position,
     1-based).
     """
-    _require(int, n=n, count=count)
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
+    _require_count(n=n, count=count)
     tokens = text.split()
     expected = count * 3 * n
     if len(tokens) != expected:
@@ -108,7 +106,7 @@ def serialize_orlib(benchmark: BenchmarkSet) -> str:
 
 def load_best_known(text: str, count: int) -> list[int]:
     """Parse `count` best-known objective values (zero is a legal value)."""
-    _require(int, count=count)
+    _require_count(count=count)
     tokens = text.split()
     if len(tokens) != count:
         raise BenchmarkFormatError(
@@ -133,9 +131,8 @@ def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
     processing, then all weights, then all due dates), so a given
     (n, seed, rdd, tf) always yields the same instance.
     """
-    _require(int, n=n, seed=seed)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require(int, seed=seed)
+    _require_count(n=n)
     if not 0 < rdd <= 1:
         raise ValueError("rdd must be in (0, 1]")
     if not 0 <= tf <= 1:
@@ -162,7 +159,8 @@ def generate_benchmark_set(
     """A full (rdd, tf) grid of generated instances, `replicates` per cell;
     the default grid gives the classical 125-instance shape.  Instance k
     uses seed `seed + k`."""
-    _require(int, n=n, seed=seed, replicates=replicates)
+    _require(int, seed=seed)
+    _require_count(n=n, replicates=replicates)
     instances = []
     k = 0
     for rdd in rdd_values:

@@ -132,44 +132,41 @@ def test_spec_run_defaults_are_the_engine_defaults(seed):
                                                              seed=seed)
 
 
-def test_cli_unknown_strategy_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(base_args(tmp_path) + ["--strategy", "simulated-annealing"])
-    assert excinfo.value.code == 2
+def refused(named, *args):
+    """A usage error for `args`, whose message includes `named`."""
+    return pytest.param(list(args), named, id=" ".join(args))
 
 
-def test_cli_out_of_range_index_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(base_args(tmp_path) + ["--index", "126"])
-    assert excinfo.value.code == 2
+COUNT_FIELDS = {"--n": "n", "--count": "count",
+                "--replications": "replications",
+                "--probe-budget": "probe_budget",
+                "--max-evals": "max_evaluations"}
 
 
-def test_cli_duplicate_index_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "two.txt"
-    path.write_text(TINY_TEXT + "  " + TINY_TEXT)
-    with pytest.raises(SystemExit) as excinfo:
-        main([
-            "--instances", str(path), "--n", "3", "--count", "2",
-            "--index", "2,1,2", "--out", str(tmp_path / "out"),
-        ])
-    assert excinfo.value.code == 2
-    assert "[2] repeated" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-COUNT_FLAGS = ["--n", "--count", "--replications", "--probe-budget",
-               "--max-evals"]
-
-
-@pytest.mark.parametrize("flag, value", [
-    *(pytest.param(flag, "0", id=flag) for flag in COUNT_FLAGS),
-    *(pytest.param(flag, "1_0", id=f"{flag}-1_0") for flag in COUNT_FLAGS),
-])
-def test_cli_zero_is_a_usage_error(tmp_path, flag, value):
+@pytest.mark.parametrize("args, named", [
+    refused("argument --strategy: invalid choice: 'simulated-annealing'",
+            "--strategy", "simulated-annealing"),
+    *(refused(f"instance indices [{i}] outside [1, 1]", "--index", str(i))
+      for i in (0, 2, 126)),
+    refused("instance indices [2] repeated",
+            "--count", "2", "--index", "2,1,2"),
+    *(refused(f"{field} must be >= 1, got 0", flag, "0")
+      for flag, field in COUNT_FIELDS.items()),
     # `1_0` is not 10: integer flags take the benchmark files' token rule.
+    *(refused(f"argument {flag}: invalid parse_int value: '1_0'", flag, "1_0")
+      for flag in COUNT_FIELDS),
+    # int() reads 1_0 as 10, Arabic-Indic digits as ASCII ones and +1 as 1;
+    # an empty part is no index either.
+    *(refused("argument --index: must be 'all' or comma-separated integers, "
+              f"got {arg!r}", "--index", arg)
+      for arg in ("1,two", ",", "1_0", "\u0663", "\u0661", "+1", "1,,2", "1,",
+                  ",1")),
+])
+def test_cli_refusal_is_a_usage_error(tmp_path, capsys, args, named):
     with pytest.raises(SystemExit) as excinfo:
-        main(base_args(tmp_path) + [flag, value])
+        main(base_args(tmp_path) + args)
     assert excinfo.value.code == 2
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -182,16 +179,6 @@ def test_cli_refuses_output_of_another_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err and "crossover.csv" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-
-def test_cli_malformed_index_is_a_usage_error(tmp_path):
-    # int() reads 1_0 as 10, Arabic-Indic digits as ASCII ones and +1 as 1;
-    # an empty part is no index either.
-    for arg in ("1,two", ",", "1_0", "\u0663", "\u0661", "+1", "1,,2", "1,",
-                ",1"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(base_args(tmp_path) + ["--index", arg])
-        assert excinfo.value.code == 2
 
 
 def test_cli_unparseable_file_fails_with_diagnostic(tmp_path, capsys):

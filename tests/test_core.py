@@ -1,14 +1,26 @@
 import itertools
 import random
+import re
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from smtwtp_vnd import (
+    BenchmarkFormatError,
+    BenchmarkSet,
     EvalCounter,
+    ExperimentSpec,
     Instance,
+    Move,
     Neighborhood,
     RunTrace,
+    Strategy,
+    StrategyConfig,
+    apply_move,
+    brute_force_optimum,
     certify_local_optimum,
+    descend,
     enumerate_moves,
     generate_benchmark_set,
     generate_instance,
@@ -56,30 +68,6 @@ def test_objective_matches_independent_recompute():
         assert objective_value(inst, order) == ref_objective(inst, order)
 
 
-@pytest.mark.parametrize("processing,weight,due,message", [
-    ((), (), (), "at least one job"),
-    ((1, 2), (1,), (0, 0), "lengths differ"),
-    ((0, 2), (1, 1), (0, 0), "processing times"),
-    ((1, 2), (0, 1), (0, 0), "weights"),
-    ((1, 2), (1, 1), (-1, 0), "due dates"),
-])
-def test_instance_invariants(processing, weight, due, message):
-    with pytest.raises(ValueError, match=message):
-        Instance(processing=processing, weight=weight, due=due)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("processing", 1.5),
-    ("weight", True),
-    ("due", "3"),
-])
-def test_instance_rejects_non_int_job_data(field, value):
-    data = dict(processing=[2, 3], weight=[1, 1], due=[0, 4])
-    data[field][0] = value
-    with pytest.raises(TypeError, match=f"{field} values must be int"):
-        Instance(**data)
-
-
 def test_instance_is_immutable(tiny_instance):
     with pytest.raises(AttributeError):
         tiny_instance.processing = (1, 1, 1)
@@ -89,44 +77,6 @@ def test_is_permutation():
     assert is_permutation((2, 0, 1), 3)
     assert not is_permutation((0, 1), 3)
     assert not is_permutation((0, 0, 2), 3)
-
-
-EX = Neighborhood.EX_NO_APEX
-
-
-# A size or flag of another type would run as another setting: True counts
-# as 1, 2.5 as a size and "off" as a true flag.  Each is refused by name
-# before any other check: most functions' last case also breaks another.
-@pytest.mark.parametrize("function, arguments, name", [
-    (enumerate_moves, dict(kind=EX, n=5, nested="off"), "nested"),
-    (enumerate_moves, dict(kind=EX, n=True), "n"),
-    (enumerate_moves, dict(kind=EX, n=0, nested=1), "nested"),
-    (neighborhood_size, dict(kind=EX, n=5, nested="off"), "nested"),
-    (neighborhood_size, dict(kind=EX, n=2.5), "n"),
-    (neighborhood_size, dict(kind="ex", n=2.5), "n"),
-    (certify_local_optimum, dict(
-        instance=generate_instance(6, 3, 0.6, 0.4), order=(0, 3, 5, 1, 4, 2),
-        kinds=[EX], nested="off"), "nested"),
-    (certify_local_optimum, dict(
-        instance=generate_instance(6, 3, 0.6, 0.4), order=(0, 0),
-        kinds=[EX], nested=None), "nested"),
-    (parse_orlib, dict(text="3 1 2", n=True, count=1), "n"),
-    (parse_orlib, dict(text="3 1 2", n=1, count=1.0), "count"),
-    (parse_orlib, dict(text="3 1 2", n=1.0, count=0), "n"),
-    (load_best_known, dict(text="5", count=True), "count"),
-    (load_best_known, dict(text="5 6", count=1.0), "count"),
-    (generate_benchmark_set, dict(n=3, seed=1, replicates=True), "replicates"),
-    (generate_benchmark_set, dict(n=0, seed=1, replicates=1.0), "replicates"),
-    (generate_benchmark_set, dict(n=3, seed=True), "seed"),
-    (generate_instance, dict(n=True, seed=1, rdd=0.6, tf=0.4), "n"),
-    (generate_instance, dict(n=2.0, seed=1, rdd=2, tf=0.4), "n"),
-    (generate_instance, dict(n=3, seed=2.5, rdd=0.6, tf=0.4), "seed"),
-    (generate_instance, dict(n=3, seed="1", rdd=0.6, tf=0.4), "seed"),
-    (is_permutation, dict(order=(0,), n=True), "n"),
-])
-def test_sizes_and_flags_must_have_their_exact_type(function, arguments, name):
-    with pytest.raises(TypeError, match=f"^{name} must be "):
-        function(**arguments)
 
 
 def test_trace_records_first_point():
@@ -152,3 +102,226 @@ def test_trace_guards_evaluation_monotonicity():
     trace = RunTrace(points=[(5, 100)])
     with pytest.raises(ValueError, match="already has a point"):
         trace.record_if_improved(EvalCounter(count=5), 90)
+
+
+# --- refusals ---------------------------------------------------------------
+
+EX, APEX = Neighborhood.EX_NO_APEX, Neighborhood.APEX
+FIXED, RANDOM = Strategy.FIXED, Strategy.RANDOM
+TINY = Instance(processing=(3, 1, 2), weight=(2, 1, 1), due=(2, 4, 3))
+T, V, F = TypeError, ValueError, BenchmarkFormatError
+
+
+def spec(**fields):
+    return ExperimentSpec(**{"instance_file": Path("in.txt"), "n": 3,
+                             "count": 1, "out_dir": Path("out"), **fields})
+
+
+def indices(*values, count=1):
+    return spec(count=count, instance_indices=values)
+
+
+def strategies(*values):
+    return spec(strategies=values)
+
+
+def config(**fields):
+    return StrategyConfig(FIXED, **fields)
+
+
+def descent(cap):
+    return descend(TINY, (2, 1, 0), APEX, config(), EvalCounter(), RunTrace(),
+                   start_objective=8, max_candidates=cap)
+
+
+# Every size or count follows the one rule: each call passes the value as
+# the named size, which must be exactly an `int` (True would run as 1, and
+# a float is no count) and at least 1.
+COUNTS = {
+    ("enumerate_moves", "n"): lambda n: enumerate_moves(EX, n),
+    ("neighborhood_size", "n"): lambda n: neighborhood_size(EX, n),
+    ("parse_orlib", "n"): lambda n: parse_orlib("1 1 0", n, 1),
+    ("parse_orlib", "count"): lambda count: parse_orlib("1 1 0", 1, count),
+    ("load_best_known", "count"): lambda count: load_best_known("5", count),
+    ("generate_instance", "n"): lambda n: generate_instance(n, 1, 0.5, 0.5),
+    ("generate_benchmark_set", "n"): lambda n: generate_benchmark_set(n, 1),
+    ("generate_benchmark_set", "replicates"):
+        lambda replicates: generate_benchmark_set(3, 1, replicates=replicates),
+    ("config", "probe_budget"): lambda budget: config(probe_budget=budget),
+    ("config", "max_evaluations"):
+        lambda budget: config(max_evaluations=budget),
+    ("descend", "max_candidates"): descent,
+    ("spec", "n"): lambda n: spec(n=n),
+    ("spec", "count"): lambda count: spec(count=count),
+    ("spec", "replications"): lambda count: spec(replications=count),
+}
+BAD_COUNTS = [(True, T, "{} must be int, got True"),
+              (1.0, T, "{} must be int, got 1.0"),
+              (0, V, "{} must be >= 1, got 0"),
+              (-1, V, "{} must be >= 1, got -1")]
+
+# Every other refusal of a bad argument, by function: an id, the exception
+# type, its whole message and the call's arguments, a trailing dict holding
+# the keyword ones.  Types are checked before ranges, as the rows whose
+# call breaks both show.
+REFUSALS = {
+    Instance: [
+        ("no-jobs", V, "instance must have at least one job", (), (), ()),
+        ("short-weight", V, "field lengths differ: 2 processing times, "
+         "1 weights, 2 due dates", (1, 2), (1,), (0, 0)),
+        ("short-due", V, "field lengths differ: 2 processing times, "
+         "2 weights, 1 due dates", (1, 2), (1, 1), (0,)),
+        ("p-0", V, "processing times must be >= 1", (0, 2), (1, 1), (0, 0)),
+        ("w-0", V, "weights must be >= 1", (1, 2), (0, 1), (0, 0)),
+        ("d-negative", V, "due dates must be >= 0", (1, 2), (1, 1), (-1, 0)),
+        ("p-float", T, "processing values must be int, got 1.5 (float)",
+         (1.5, 3), (1, 1), (0, 4)),
+        ("w-bool", T, "weight values must be int, got True (bool)",
+         (2, 3), (True, 1), (0, 4)),
+        ("d-str", T, "due values must be int, got '3' (str)",
+         (2, 3), (1, 1), ("3", 4)),
+    ],
+    is_permutation: [("n-bool", T, "n must be int, got True", (0,), True)],
+    enumerate_moves: [
+        ("nested-str", T, "nested must be bool, got 'off'", EX, 5, "off"),
+        ("nested-int-n-0", T, "nested must be bool, got 1", EX, 0, 1),
+        ("kind-str", V, "unknown neighborhood kind: 'bogus'", "bogus", 5),
+        ("kind-none", V, "unknown neighborhood kind: None", None, 5),
+    ],
+    neighborhood_size: [
+        ("nested-str", T, "nested must be bool, got 'off'", EX, 5, "off"),
+        ("n-float-kind-str", T, "n must be int, got 2.5", "ex", 2.5),
+        ("kind-str", V, "unknown neighborhood kind: 'bogus'", "bogus", 5),
+        ("kind-none", V, "unknown neighborhood kind: None", None, 5),
+    ],
+    apply_move: [
+        ("kind-str", V, "unknown neighborhood kind: 'bogus'",
+         (0, 1, 2, 3, 4), Move("bogus", 0, 1)),
+        ("kind-none", V, "unknown neighborhood kind: None",
+         (0, 1, 2, 3, 4), Move(None, 0, 1)),
+    ],
+    certify_local_optimum: [
+        ("nested-str", T, "nested must be bool, got 'off'",
+         TINY, (0, 1, 2), [EX], "off"),
+        ("nested-none-short-order", T, "nested must be bool, got None",
+         TINY, (0, 0), [EX], None),
+        ("repeated-job", V, "sequence is not a permutation of 0..n-1",
+         TINY, (0, 0, 2), [EX]),
+        ("bool-job", V, "sequence is not a permutation of 0..n-1",
+         TINY, (0, True, 2), [EX]),
+        ("float-job", V, "sequence is not a permutation of 0..n-1",
+         TINY, (0, 1.0, 2), [EX]),
+    ],
+    brute_force_optimum: [
+        ("n-11", V, "exhaustive search refused for n=11 (limit 10)",
+         Instance((1,) * 11, (1,) * 11, (0,) * 11)),
+    ],
+    parse_orlib: [
+        ("n-float-count-0", T, "n must be int, got 1.0", "3 1 2", 1.0, 0),
+        ("truncated", F, "truncated file: expected 9 tokens for 1 instances "
+         "of 3 jobs, found 8 (file ends at token 8)", "1 " * 8, 3, 1),
+        ("oversized", F, "oversized file: expected 9 tokens for 1 instances "
+         "of 3 jobs, found 10 (file ends at token 10)", "1 " * 10, 3, 1),
+        ("p-0", F, "instance 1: processing times must be >= 1",
+         "0 1 2  2 1 1  2 4 3", 3, 1),
+    ],
+    load_best_known: [
+        ("short", F, "expected 3 best-known values, found 2", "10 0", 3),
+        ("token", F, "token 2: '1_5' is not an integer", "7 1_5", 2),
+        ("negative", F, "token 1: best-known value -4 is negative", "-4", 1),
+    ],
+    BenchmarkSet: [
+        ("mixed-sizes", V, "instances must share one job count, got [1, 2]",
+         [Instance((1, 2), (1, 1), (0, 0)), Instance((1,), (1,), (0,))]),
+    ],
+    generate_benchmark_set: [
+        ("seed-bool", T, "seed must be int, got True", 3, True),
+        ("replicates-float-n-0", T, "replicates must be int, got 1.0",
+         0, 1, {"replicates": 1.0}),
+        ("n-0-replicates-0", V, "n must be >= 1, got 0",
+         0, 1, {"replicates": 0}),
+        ("no-rdd", V, "instances must share one job count, got []",
+         3, 1, {"rdd_values": ()}),
+    ],
+    generate_instance: [
+        ("n-float-rdd-2", T, "n must be int, got 2.0", 2.0, 1, 2, 0.4),
+        ("seed-float", T, "seed must be int, got 2.5", 3, 2.5, 0.6, 0.4),
+        ("seed-str", T, "seed must be int, got '1'", 3, "1", 0.6, 0.4),
+        ("rdd-0", V, "rdd must be in (0, 1]", 3, 1, 0.0, 0.5),
+        ("rdd-above-1", V, "rdd must be in (0, 1]", 3, 1, 1.1, 0.5),
+        ("tf-negative", V, "tf must be in [0, 1]", 3, 1, 0.5, -0.1),
+        ("tf-above-1", V, "tf must be in [0, 1]", 3, 1, 0.5, 1.5),
+    ],
+    # A setting of another type would run as another setting: "fixed" is
+    # not Strategy.FIXED, and "off" is a true flag.
+    StrategyConfig: [
+        ("strategy-str", T, "strategy must be Strategy, got 'fixed'", "fixed"),
+    ],
+    config: [
+        ("descent_rule-str", T, "descent_rule must be DescentRule, got "
+         "'best'", {"descent_rule": "best"}),
+        ("initial-str", T, "initial must be InitialOrder, got 'edd'",
+         {"initial": "edd"}),
+        ("nested-str", T, "nested must be bool, got 'off'", {"nested": "off"}),
+        ("nested-int", T, "nested must be bool, got 1", {"nested": 1}),
+        ("seed-bool", T, "seed must be int, got True", {"seed": True}),
+        ("seed-str", T, "seed must be int, got '1'", {"seed": "1"}),
+    ],
+    indices: [
+        ("bool", T, "instance_indices must be int, got True", True),
+        ("float", T, "instance_indices must be int, got 1.0", 1.0),
+        ("0", V, "instance indices [0] outside [1, 1]", 0),
+        ("past-count", V, "instance indices [2] outside [1, 1]", 2),
+        ("none", V, "instance_indices is empty (None selects all)"),
+        ("repeated", V, "instance indices [2, 3] repeated",
+         3, 2, 1, 2, 3, {"count": 4}),
+    ],
+    # A repeated strategy has no cell of its own, alone or among others;
+    # every entry is checked, so a string neither runs no cell nor drops out.
+    strategies: [
+        ("none", V, "at least one strategy is required"),
+        ("repeated", V, "strategies ['fixed'] repeated", FIXED, FIXED),
+        ("repeated-among-others", V, "strategies ['fixed'] repeated",
+         FIXED, FIXED, RANDOM),
+        ("str", T, "strategy must be Strategy, got 'fixed'", "fixed"),
+        ("second-str", T, "strategy must be Strategy, got 'random'",
+         FIXED, "random"),
+    ],
+}
+
+
+def refusals():
+    for (function, name), call in COUNTS.items():
+        for value, error, message in BAD_COUNTS:
+            yield pytest.param(partial(call, value), error,
+                               message.format(name),
+                               id=f"{function}-{name}-{value!r}")
+    for function, rows in REFUSALS.items():
+        for id, error, message, *args in rows:
+            kwargs = args.pop() if args and type(args[-1]) is dict else {}
+            yield pytest.param(partial(function, *args, **kwargs), error,
+                               message, id=f"{function.__name__}-{id}")
+
+
+@pytest.mark.parametrize("call, error, message", refusals())
+def test_refusal(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refusal:
+        call()
+    assert refusal.type is error
+
+
+# The accepted edge of each range.
+@pytest.mark.parametrize("call", [
+    partial(generate_instance, 3, 1, 1.0, 0.0),
+    partial(generate_instance, 3, 1, 0.5, 1.0),
+    partial(brute_force_optimum, Instance((1,) * 10, (1,) * 10, (99,) * 10)),
+    partial(indices, 1, 2, count=2),
+    partial(descent, 1),
+    partial(config, probe_budget=1, max_evaluations=1),
+    partial(parse_orlib, "3 1 2", 1, 1),
+    partial(load_best_known, "0", 1),
+    partial(enumerate_moves, EX, 1),
+], ids=["tf-0", "tf-1", "brute-force-n-10", "indices-1-2-of-2", "cap-1",
+        "budget-1", "parse-n-1-count-1", "best-known-count-1", "moves-n-1"])
+def test_accepted_edge(call):
+    call()

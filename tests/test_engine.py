@@ -42,15 +42,14 @@ def assert_valid_trace(trace: RunTrace):
         "best objective must never worsen"
 
 
-def test_descend_reaches_exchange_local_optimum(tiny_instance):
-    counter, trace = EvalCounter(), RunTrace()
-    res = descend(
-        tiny_instance, (2, 1, 0), Neighborhood.EX_NO_APEX, FIXED_CFG,
-        counter, trace,
-        start_objective=objective_value(tiny_instance, (2, 1, 0)),
-    )
-    assert res.sequence == (0, 1, 2)
-    assert res.objective == 5
+@pytest.mark.parametrize("rule", list(DescentRule))
+def test_either_rule_descends_from_the_worst_order_to_the_optimum(
+        tiny_instance, rule):
+    # From (2,1,0), of objective 8, EX's only move reaches the optimum 5.
+    res = descend(tiny_instance, (2, 1, 0), Neighborhood.EX_NO_APEX,
+                  StrategyConfig(Strategy.FIXED, descent_rule=rule),
+                  EvalCounter(), RunTrace(), start_objective=8)
+    assert (res.sequence, res.objective) == ((0, 1, 2), 5)
 
 
 def test_descend_on_local_optimum_scans_whole_neighborhood(tiny_instance):
@@ -164,25 +163,6 @@ def test_strategy_decides_neighborhood_order(tiny_instance, monkeypatch):
                                       probe_budget=1))
     assert calls == [(kind, 1) for kind in canonical] + [
         (Neighborhood.APEX, None)]
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        StrategyConfig(strategy=Strategy.FIXED, probe_budget=0)
-    with pytest.raises(ValueError):
-        StrategyConfig(strategy=Strategy.FIXED, max_evaluations=0)
-    # Settings of the wrong type would otherwise run as another setting:
-    # "fixed" is not Strategy.FIXED and "off" is truthy.
-    with pytest.raises(TypeError, match="strategy must be Strategy"):
-        StrategyConfig("fixed")
-    for field, value in [
-        ("descent_rule", "best"), ("initial", "edd"), ("nested", "off"),
-        ("nested", 1), ("probe_budget", True), ("probe_budget", 1.0),
-        ("seed", True), ("seed", "1"), ("max_evaluations", True),
-        ("max_evaluations", 5.0),
-    ]:
-        with pytest.raises(TypeError, match=field):
-            StrategyConfig(strategy=Strategy.FIXED, **{field: value})
 
 
 def test_initial_sequence_constructions():
@@ -323,17 +303,6 @@ def test_fixed_matches_classical_vnd():
                     result.trace.points) == reference_fixed(inst, config)
 
 
-def test_first_improvement_uses_fewer_evaluations_per_step(tiny_instance):
-    # From (2,1,0), EX's only move already improves; both rules find it.
-    for rule in DescentRule:
-        counter, trace = EvalCounter(), RunTrace()
-        config = StrategyConfig(strategy=Strategy.FIXED, descent_rule=rule)
-        res = descend(tiny_instance, (2, 1, 0), Neighborhood.EX_NO_APEX,
-                      config, counter, trace,
-                      start_objective=objective_value(tiny_instance, (2, 1, 0)))
-        assert res.objective == 5
-
-
 def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     counter, trace = EvalCounter(), RunTrace()
     res = descend(
@@ -345,18 +314,6 @@ def test_descend_probe_cap_limits_candidate_evaluations(tiny_instance):
     assert res.evaluations == 1
     assert counter.count == 1
     assert not res.budget_hit
-
-
-@pytest.mark.parametrize("cap, error", [
-    (True, TypeError), (2.5, TypeError), (0, ValueError), (-5, ValueError),
-])
-def test_descend_refuses_a_probe_cap_that_is_not_an_int_of_one_or_more(
-        tiny_instance, cap, error):
-    with pytest.raises(error, match="^max_candidates must be "):
-        descend(tiny_instance, (2, 1, 0), Neighborhood.APEX, FIXED_CFG,
-                EvalCounter(), RunTrace(),
-                start_objective=objective_value(tiny_instance, (2, 1, 0)),
-                max_candidates=cap)
 
 
 def test_descend_stop_precedence():

@@ -343,51 +343,6 @@ def test_experiment_metadata_holds_wall_times(tmp_path):
     assert cell["wall_seconds"] >= 0
 
 
-def test_experiment_spec_validates_indices(tmp_path):
-    with pytest.raises(ValueError, match="outside"):
-        make_spec(tmp_path, instance_indices=(126,))
-    with pytest.raises(ValueError, match="empty"):
-        make_spec(tmp_path, instance_indices=())
-
-
-@pytest.mark.parametrize("field,value", [
-    ("instance_indices", (True,)),
-    ("instance_indices", (1.0,)),
-    ("count", True),
-    ("replications", True),
-    ("n", 3.0),
-])
-def test_experiment_spec_requires_int_counts(tmp_path, field, value):
-    with pytest.raises(TypeError, match="must be int"):
-        make_spec(tmp_path, **{field: value})
-    assert not (tmp_path / "out").exists()
-
-
-def test_experiment_spec_rejects_duplicate_indices(tmp_path):
-    with pytest.raises(ValueError, match=r"indices \[2, 3\] repeated"):
-        make_spec(tmp_path, count=4, instance_indices=(3, 2, 1, 2, 3))
-
-
-def test_experiment_spec_rejects_repeated_strategies(tmp_path):
-    # A repeated strategy has no cell of its own, alone or among others.
-    for strategies in [(Strategy.FIXED, Strategy.FIXED),
-                       (Strategy.FIXED, Strategy.FIXED, Strategy.RANDOM)]:
-        with pytest.raises(ValueError,
-                           match=r"strategies \['fixed'\] repeated"):
-            make_spec(tmp_path, strategies=strategies)
-    assert not (tmp_path / "out").exists()
-
-
-def test_experiment_spec_requires_strategies(tmp_path):
-    with pytest.raises(ValueError, match="at least one strategy"):
-        make_spec(tmp_path, strategies=())
-    # Every entry is checked, so a string neither runs no cell nor drops out.
-    for strategies in [("fixed",), (Strategy.FIXED, "random")]:
-        with pytest.raises(TypeError, match="strategy must be Strategy"):
-            make_spec(tmp_path, strategies=strategies)
-    assert not (tmp_path / "out").exists()
-
-
 def test_format_summary_table(tmp_path):
     spec = make_spec(tmp_path, strategies=(Strategy.FIXED,))
     output = run_experiment(spec)

@@ -35,24 +35,6 @@ def test_kind_survives_pickling_as_a_table_key(kind):
     assert {kind: kind.value}[copy] == kind.value
 
 
-@pytest.mark.parametrize("kind", ["bogus", None])
-@pytest.mark.parametrize("call", [
-    lambda kind: enumerate_moves(kind, 5),
-    lambda kind: neighborhood_size(kind, 5),
-    lambda kind: apply_move((0, 1, 2, 3, 4), Move(kind, 0, 1)),
-], ids=["enumerate_moves", "neighborhood_size", "apply_move"])
-def test_unknown_kind_is_rejected(call, kind):
-    with pytest.raises(ValueError, match="unknown neighborhood kind"):
-        call(kind)
-
-
-@pytest.mark.parametrize("n", [0, -1])
-@pytest.mark.parametrize("call", [enumerate_moves, neighborhood_size])
-def test_length_below_one_is_rejected(call, n):
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        call(EX, n)
-
-
 def test_apply_block_reversal():
     assert apply_move((1, 2, 3, 4, 5), Move(BR4, 0, 3)) == (4, 3, 2, 1, 5)
 

@@ -1,7 +1,4 @@
-import itertools
 import random
-
-import pytest
 
 from smtwtp_vnd import (
     Instance,
@@ -31,14 +28,6 @@ def test_single_job():
     assert brute_force_optimum(inst) == (3 * (7 - 4), (0,))
     inst = Instance(processing=(2,), weight=(3,), due=(4,))
     assert brute_force_optimum(inst) == (0, (0,))
-
-
-def test_refuses_large_instances():
-    inst = Instance(
-        processing=(1,) * 11, weight=(1,) * 11, due=(0,) * 11
-    )
-    with pytest.raises(ValueError, match="refused"):
-        brute_force_optimum(inst)
 
 
 def test_matches_exhaustive_enumeration_on_random_instances():
@@ -75,11 +64,6 @@ def test_certify_distinguishes_neighborhoods(tiny_instance):
 
 def test_certify_empty_kinds_is_vacuously_true(tiny_instance):
     assert certify_local_optimum(tiny_instance, (2, 1, 0), [])
-
-
-def test_certify_rejects_non_permutation(tiny_instance):
-    with pytest.raises(ValueError):
-        certify_local_optimum(tiny_instance, (0, 0, 2), [Neighborhood.APEX])
 
 
 def test_certify_agrees_with_exhaustive_neighbor_scan():
