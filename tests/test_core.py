@@ -7,8 +7,6 @@ from pathlib import Path
 import pytest
 
 from smtwtp_vnd import (
-    BenchmarkFormatError,
-    BenchmarkSet,
     EvalCounter,
     ExperimentSpec,
     Instance,
@@ -68,6 +66,34 @@ def test_objective_matches_independent_recompute():
         assert objective_value(inst, order) == ref_objective(inst, order)
 
 
+@pytest.mark.parametrize("processing,weight,due,message", [
+    ((), (), (), "at least one job"),
+    ((1, 2), (1,), (0, 0), "lengths differ"),
+    ((0, 2), (1, 1), (0, 0), "processing times"),
+    ((1, 2), (0, 1), (0, 0), "weights"),
+    ((1, 2), (1, 1), (-1, 0), "due dates"),
+    ((1, 2), (1, 1), (0,), "field lengths differ: 2 processing times, "
+     "2 weights, 1 due dates"),
+])
+def test_instance_invariants(processing, weight, due, message):
+    with pytest.raises(ValueError, match=message):
+        Instance(processing=processing, weight=weight, due=due)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("processing", 1.5),
+    ("weight", True),
+    ("due", "3"),
+])
+def test_instance_rejects_non_int_job_data(field, value):
+    data = dict(processing=[2, 3], weight=[1, 1], due=[0, 4])
+    data[field][0] = value
+    message = f"{field} values must be int, got {value!r} " \
+        f"({type(value).__name__})"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Instance(**data)
+
+
 def test_instance_is_immutable(tiny_instance):
     with pytest.raises(AttributeError):
         tiny_instance.processing = (1, 1, 1)
@@ -109,7 +135,7 @@ def test_trace_guards_evaluation_monotonicity():
 EX, APEX = Neighborhood.EX_NO_APEX, Neighborhood.APEX
 FIXED, RANDOM = Strategy.FIXED, Strategy.RANDOM
 TINY = Instance(processing=(3, 1, 2), weight=(2, 1, 1), due=(2, 4, 3))
-T, V, F = TypeError, ValueError, BenchmarkFormatError
+T, V = TypeError, ValueError
 
 
 def spec(**fields):
@@ -160,27 +186,12 @@ BAD_COUNTS = [(True, T, "{} must be int, got True"),
               (0, V, "{} must be >= 1, got 0"),
               (-1, V, "{} must be >= 1, got -1")]
 
-# Every other refusal of a bad argument, by function: an id, the exception
-# type, its whole message and the call's arguments, a trailing dict holding
-# the keyword ones.  Types are checked before ranges, as the rows whose
+# Every other refusal of a bad argument, by function (bad job data and bad
+# file contents are pinned beside the instance and file tests): an id, the
+# exception type, its whole message and the call's arguments, a trailing
+# dict holding the keyword ones.  Types are checked before ranges, as the rows whose
 # call breaks both show.
 REFUSALS = {
-    Instance: [
-        ("no-jobs", V, "instance must have at least one job", (), (), ()),
-        ("short-weight", V, "field lengths differ: 2 processing times, "
-         "1 weights, 2 due dates", (1, 2), (1,), (0, 0)),
-        ("short-due", V, "field lengths differ: 2 processing times, "
-         "2 weights, 1 due dates", (1, 2), (1, 1), (0,)),
-        ("p-0", V, "processing times must be >= 1", (0, 2), (1, 1), (0, 0)),
-        ("w-0", V, "weights must be >= 1", (1, 2), (0, 1), (0, 0)),
-        ("d-negative", V, "due dates must be >= 0", (1, 2), (1, 1), (-1, 0)),
-        ("p-float", T, "processing values must be int, got 1.5 (float)",
-         (1.5, 3), (1, 1), (0, 4)),
-        ("w-bool", T, "weight values must be int, got True (bool)",
-         (2, 3), (True, 1), (0, 4)),
-        ("d-str", T, "due values must be int, got '3' (str)",
-         (2, 3), (1, 1), ("3", 4)),
-    ],
     is_permutation: [("n-bool", T, "n must be int, got True", (0,), True)],
     enumerate_moves: [
         ("nested-str", T, "nested must be bool, got 'off'", EX, 5, "off"),
@@ -218,21 +229,6 @@ REFUSALS = {
     ],
     parse_orlib: [
         ("n-float-count-0", T, "n must be int, got 1.0", "3 1 2", 1.0, 0),
-        ("truncated", F, "truncated file: expected 9 tokens for 1 instances "
-         "of 3 jobs, found 8 (file ends at token 8)", "1 " * 8, 3, 1),
-        ("oversized", F, "oversized file: expected 9 tokens for 1 instances "
-         "of 3 jobs, found 10 (file ends at token 10)", "1 " * 10, 3, 1),
-        ("p-0", F, "instance 1: processing times must be >= 1",
-         "0 1 2  2 1 1  2 4 3", 3, 1),
-    ],
-    load_best_known: [
-        ("short", F, "expected 3 best-known values, found 2", "10 0", 3),
-        ("token", F, "token 2: '1_5' is not an integer", "7 1_5", 2),
-        ("negative", F, "token 1: best-known value -4 is negative", "-4", 1),
-    ],
-    BenchmarkSet: [
-        ("mixed-sizes", V, "instances must share one job count, got [1, 2]",
-         [Instance((1, 2), (1, 1), (0, 0)), Instance((1,), (1,), (0,))]),
     ],
     generate_benchmark_set: [
         ("seed-bool", T, "seed must be int, got True", 3, True),

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -34,6 +35,31 @@ def test_parse_multiple_instances_and_layout_order():
     assert benchmark.instances[1] == Instance((7, 8), (9, 10), (11, 12))
 
 
+def test_parse_truncated_file_reports_position():
+    with pytest.raises(BenchmarkFormatError, match="^" + re.escape(
+            "truncated file: expected 9 tokens for 1 instances of 3 jobs, "
+            "found 8 (file ends at token 8)") + "$"):
+        parse_orlib("3 1 2  2 1 1  2 4", n=3, count=1)
+
+
+def test_parse_oversized_file_is_rejected():
+    with pytest.raises(BenchmarkFormatError, match="^" + re.escape(
+            "oversized file: expected 9 tokens for 1 instances of 3 jobs, "
+            "found 10 (file ends at token 10)") + "$"):
+        parse_orlib("3 1 2  2 1 1  2 4 3 9", n=3, count=1)
+
+
+def test_parse_non_integer_token_reports_position():
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3.
+    for token in ("x", "1_0", "\u0663", "+5", "-"):
+        with pytest.raises(BenchmarkFormatError,
+                           match=re.escape(f"token 5: {token!r}")):
+            parse_orlib(f"3 1 2  2 {token} 1  2 4 3", n=3, count=1)
+    with pytest.raises(BenchmarkFormatError,
+                       match="^token 2: '1_5' is not an integer$"):
+        load_best_known("7 1_5", count=2)
+
+
 def test_bad_token_late_in_a_large_file_is_reported_at_its_position():
     # The tokens of a file are checked in one pass; one that fails is still
     # reported as `parse_int` refuses it, at its position.
@@ -56,6 +82,13 @@ def test_bad_token_late_in_a_large_file_is_reported_at_its_position():
             assert str(error.value) == f"token {pos}: {refusal.value}"
 
 
+def test_parse_rejects_invalid_job_data_with_instance_number():
+    # zero processing time violates the instance invariants
+    with pytest.raises(BenchmarkFormatError,
+                       match="^instance 1: processing times must be >= 1$"):
+        parse_orlib("0 1 2  2 1 1  2 4 3", n=3, count=1)
+
+
 def test_round_trip():
     benchmark = generate_benchmark_set(
         n=5, seed=11, rdd_values=(0.4, 1.0), tf_values=(0.2, 0.8),
@@ -75,6 +108,27 @@ def test_round_trip_is_whitespace_insensitive():
 
 def test_load_best_known():
     assert load_best_known("10 0 7", count=3) == [10, 0, 7]
+
+
+def test_load_best_known_count_mismatch():
+    with pytest.raises(BenchmarkFormatError,
+                       match="^expected 3 best-known values, found 2$"):
+        load_best_known("10 0", count=3)
+
+
+def test_load_best_known_rejects_negative_but_allows_zero():
+    assert load_best_known("0", count=1) == [0]
+    with pytest.raises(BenchmarkFormatError,
+                       match="^token 1: best-known value -4 is negative$"):
+        load_best_known("-4", count=1)
+
+
+def test_benchmark_set_invariants():
+    a = Instance((1, 2), (1, 1), (0, 0))
+    b = Instance((1,), (1,), (0,))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "instances must share one job count, got [1, 2]") + "$"):
+        BenchmarkSet(instances=[a, b])
 
 
 def test_benchmark_set_is_immutable():
