@@ -102,11 +102,15 @@ def apply_move(order: Sequence, move: Move) -> Sequence:
     """Apply `move` to `order` and return the new sequence.
 
     Purely positional: the input is left untouched and need not be a
-    0-based permutation.  Raises ValueError for an unknown kind or for
-    positions out of range for `order`.
+    0-based permutation.  Raises TypeError for a position that is not
+    exactly an `int`, and ValueError for an unknown kind or for positions
+    out of range for `order`.
     """
     n = len(order)
     kind, i, j = move
+    # One inline check: this runs once per accepted move.
+    if type(i) is not int or type(j) is not int:
+        _require(int, i=i, j=j)
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
         valid = 0 <= i and j == i + k - 1 < n

@@ -1,6 +1,6 @@
 """Exact ground truth for small instances.
 
-Used to certify search results: exhaustive optimum for n <= 10 and an
+Used to certify search results: exact optimum for n <= 16 and an
 enumeration-based local-optimality check.  The certificate's scan shares no
 code with the engine's: it builds every neighbour with `enumerate_moves`
 and `apply_move` and scores it with its own from-scratch objective, while
@@ -9,12 +9,10 @@ moves it accepts.  The closed-form sizes, the reference move definitions
 in the tests and the differential sweep pin the move code.
 """
 
-import math
-
 from .core import Instance, Sequence, _require, is_permutation
 from .neighborhoods import Neighborhood, apply_move, enumerate_moves
 
-MAX_EXACT_N = 10
+MAX_EXACT_N = 16
 
 
 def _objective(instance: Instance, order: Sequence) -> int:
@@ -34,9 +32,12 @@ def brute_force_optimum(instance: Instance) -> tuple[int, Sequence]:
     """Minimum objective over all n! sequences and the lexicographically
     smallest sequence attaining it.
 
-    Refuses instances with more than MAX_EXACT_N jobs.  The enumeration
-    prunes on the partial objective, which is exact because every job's
-    tardiness contribution is fixed once placed and non-negative.
+    Refuses instances with more than MAX_EXACT_N jobs.  Dynamic programming
+    over job subsets (Held & Karp, J. SIAM 10(1), 1962): the jobs of a set S
+    end at P(S) in any order, so the least cost of the jobs after S is the
+    least, over the next job j, of j's cost when it ends at P(S) + p_j plus
+    the least cost of the jobs after S + {j}.  Reading the least such j
+    forwards gives the lexicographically smallest optimal sequence.
     """
     n = instance.n
     if n > MAX_EXACT_N:
@@ -44,32 +45,30 @@ def brute_force_optimum(instance: Instance) -> tuple[int, Sequence]:
             f"exhaustive search refused for n={n} (limit {MAX_EXACT_N})"
         )
     p, w, d = instance.processing, instance.weight, instance.due
-    best_obj: float = math.inf
-    best_seq: Sequence = ()
-    order = [0] * n
-    used = [False] * n
-
-    def place(pos: int, t: int, acc: int) -> None:
-        nonlocal best_obj, best_seq
-        if pos == n:
-            best_obj = acc
-            best_seq = tuple(order)
-            return
+    full = (1 << n) - 1
+    end = [0] * (full + 1)  # P(S), from S without its lowest job
+    for s in range(1, full + 1):
+        low = s & -s
+        end[s] = end[s ^ low] + p[low.bit_length() - 1]
+    # rest[S] and the least next job attaining it, first[S]; every superset
+    # of S is filled before S.
+    rest = [0] * (full + 1)
+    first = [0] * full
+    for s in range(full - 1, -1, -1):
+        best = None
         for j in range(n):
-            if used[j]:
-                continue
-            tj = t + p[j]
-            late = tj - d[j]
-            acc_j = acc + (w[j] * late if late > 0 else 0)
-            if acc_j >= best_obj:
-                continue
-            used[j] = True
-            order[pos] = j
-            place(pos + 1, tj, acc_j)
-            used[j] = False
-
-    place(0, 0, 0)
-    return int(best_obj), best_seq
+            bit = 1 << j
+            if not s & bit:
+                late = end[s | bit] - d[j]
+                cost = rest[s | bit] + (w[j] * late if late > 0 else 0)
+                if best is None or cost < best:
+                    best, first[s] = cost, j
+        rest[s] = best
+    order, s = [], 0
+    while s != full:
+        order.append(first[s])
+        s |= 1 << first[s]
+    return rest[0], tuple(order)
 
 
 def certify_local_optimum(

@@ -133,6 +133,9 @@ def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
     """
     _require(int, seed=seed)
     _require_count(n=n)
+    for name, value in (("rdd", rdd), ("tf", tf)):
+        if type(value) not in (int, float):  # `True` is no fraction
+            raise TypeError(f"{name} must be int or float, got {value!r}")
     if not 0 < rdd <= 1:
         raise ValueError("rdd must be in (0, 1]")
     if not 0 <= tf <= 1:

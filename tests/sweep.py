@@ -9,9 +9,10 @@ is hashed from its best sequence, best objective, trace points, evaluation
 total and termination reason, as in the golden corpus.  The move code is
 hashed too, since the engine no longer runs it per candidate: for each n,
 kind and nesting, the `enumerate_moves` list, the `neighborhood_size` and
-`apply_move` of every move on a fixed sequence.  The sweep prints every
-configuration whose hashes differ and the aggregate digest of each tree,
-and exits non-zero on any difference.
+`apply_move` of every move on a fixed sequence.  So is the exact oracle's
+`brute_force_optimum` of each instance up to n = 10.  The sweep prints
+every configuration whose hashes differ and the aggregate digest of each
+tree, and exits non-zero on any difference.
 
 The two children get different PYTHONHASHSEED values, so `--against src`
 checks that runs do not depend on hash order.
@@ -19,8 +20,9 @@ checks that runs do not depend on hash order.
 The grid: n = 1-12, 15, 20 and 30; two instances each; every strategy x
 descent rule x nesting x initial order; no budget or a budget of 37
 evaluations; probe budget 1 or 100.  That is 4,320 runs.  The move code
-is hashed for n = 1-15 x kind x nesting, 210 configurations.  Standard
-library only.
+is hashed for n = 1-15 x kind x nesting, 210 configurations, and the
+optimum for n = 1-10, 20 configurations: 4,550 in all.  Standard library
+only.
 """
 
 import argparse
@@ -38,6 +40,8 @@ INSTANCES = ((0, 0.2, 0.6), (1000, 0.6, 0.2))
 BUDGETS = (None, 37)
 PROBE_BUDGETS = (1, 100)
 MOVE_SIZES = range(1, 16)
+# Older trees' oracle refuses n > 10, which would fail their child.
+OPTIMUM_SIZES = range(1, 11)
 THIS_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -59,12 +63,12 @@ def run_hash(result) -> str:
 
 
 def run_hashes() -> dict[str, str]:
-    """Hash of every run of the grid and of the move code, by configuration
-    key."""
+    """Hash of every run of the grid, of the move code and of the optima, by
+    configuration key."""
     from smtwtp_vnd import (
         DescentRule, InitialOrder, Neighborhood, Strategy, StrategyConfig,
-        apply_move, enumerate_moves, generate_instance, neighborhood_size,
-        run,
+        apply_move, brute_force_optimum, enumerate_moves, generate_instance,
+        neighborhood_size, run,
     )
 
     hashes = {}
@@ -80,6 +84,10 @@ def run_hashes() -> dict[str, str]:
         ])
     for n, (offset, rdd, tf) in itertools.product(SIZES, INSTANCES):
         inst = generate_instance(n, n + offset, rdd, tf)
+        if n in OPTIMUM_SIZES:
+            objective, order = brute_force_optimum(inst)
+            hashes[f"optimum n={n} seed={n + offset}"] = sha256_json(
+                [objective, list(order)])
         for strategy, rule, nested, initial, budget, probe in itertools.product(
             Strategy, DescentRule, (False, True), InitialOrder, BUDGETS,
             PROBE_BUDGETS,

@@ -210,6 +210,17 @@ REFUSALS = {
          (0, 1, 2, 3, 4), Move("bogus", 0, 1)),
         ("kind-none", V, "unknown neighborhood kind: None",
          (0, 1, 2, 3, 4), Move(None, 0, 1)),
+        # False would run as position 0, and 0.0 is no index.
+        ("i-bool", T, "i must be int, got False",
+         (0, 1, 2, 3), Move(EX, False, 2)),
+        ("i-float", T, "i must be int, got 0.0",
+         (0, 1, 2, 3), Move(EX, 0.0, 2)),
+        ("j-float", T, "j must be int, got 2.0",
+         (0, 1, 2, 3), Move(APEX, 1, 2.0)),
+        ("i-none-kind-str", T, "i must be int, got None",
+         (0, 1, 2, 3), Move("bogus", None, 1)),
+        ("j-bool-out-of-range", T, "j must be int, got True",
+         (0, 1, 2, 3), Move(Neighborhood.BSH_NO_APEX, 5, True)),
     ],
     certify_local_optimum: [
         ("nested-str", T, "nested must be bool, got 'off'",
@@ -224,8 +235,8 @@ REFUSALS = {
          TINY, (0, 1.0, 2), [EX]),
     ],
     brute_force_optimum: [
-        ("n-11", V, "exhaustive search refused for n=11 (limit 10)",
-         Instance((1,) * 11, (1,) * 11, (0,) * 11)),
+        ("n-17", V, "exhaustive search refused for n=17 (limit 16)",
+         Instance((1,) * 17, (1,) * 17, (0,) * 17)),
     ],
     parse_orlib: [
         ("n-float-count-0", T, "n must be int, got 1.0", "3 1 2", 1.0, 0),
@@ -247,6 +258,14 @@ REFUSALS = {
         ("rdd-above-1", V, "rdd must be in (0, 1]", 3, 1, 1.1, 0.5),
         ("tf-negative", V, "tf must be in [0, 1]", 3, 1, 0.5, -0.1),
         ("tf-above-1", V, "tf must be in [0, 1]", 3, 1, 0.5, 1.5),
+        # True would run as 1.0, and a string has no range.
+        ("rdd-bool", T, "rdd must be int or float, got True",
+         3, 1, True, 0.5),
+        ("tf-bool", T, "tf must be int or float, got False", 3, 1, 0.5, False),
+        ("rdd-str", T, "rdd must be int or float, got '0.5'",
+         3, 1, "0.5", 0.5),
+        ("tf-none-rdd-0", T, "tf must be int or float, got None",
+         3, 1, 0, None),
     ],
     # A setting of another type would run as another setting: "fixed" is
     # not Strategy.FIXED, and "off" is a true flag.
@@ -310,14 +329,16 @@ def test_refusal(call, error, message):
 @pytest.mark.parametrize("call", [
     partial(generate_instance, 3, 1, 1.0, 0.0),
     partial(generate_instance, 3, 1, 0.5, 1.0),
-    partial(brute_force_optimum, Instance((1,) * 10, (1,) * 10, (99,) * 10)),
+    partial(generate_instance, 3, 1, 1, 0),
+    partial(brute_force_optimum, Instance((1,) * 16, (1,) * 16, (99,) * 16)),
     partial(indices, 1, 2, count=2),
     partial(descent, 1),
     partial(config, probe_budget=1, max_evaluations=1),
     partial(parse_orlib, "3 1 2", 1, 1),
     partial(load_best_known, "0", 1),
     partial(enumerate_moves, EX, 1),
-], ids=["tf-0", "tf-1", "brute-force-n-10", "indices-1-2-of-2", "cap-1",
-        "budget-1", "parse-n-1-count-1", "best-known-count-1", "moves-n-1"])
+], ids=["tf-0", "tf-1", "int-rdd-tf", "brute-force-n-16", "indices-1-2-of-2",
+        "cap-1", "budget-1", "parse-n-1-count-1", "best-known-count-1",
+        "moves-n-1"])
 def test_accepted_edge(call):
     call()

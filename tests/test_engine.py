@@ -26,6 +26,7 @@ from smtwtp_vnd import (
 )
 from smtwtp_vnd import engine
 from smtwtp_vnd.engine import initial_sequence
+from smtwtp_vnd.oracle import MAX_EXACT_N
 
 from . import reference_engine
 from .conftest import random_instance
@@ -464,7 +465,7 @@ def test_unbudgeted_grid_runs_stop_only_at_a_local_optimum(grid_runs):
         assert result.evaluations_total >= 1 + sum(
             neighborhood_size(kind, inst.n, config.nested)
             for kind in Neighborhood)
-        if inst.n <= 8:  # exhaustive comparison stays cheap
+        if inst.n <= MAX_EXACT_N:
             assert result.best_objective >= optimum(inst)[0]
 
 

@@ -33,7 +33,7 @@ def test_single_job():
 def test_matches_exhaustive_enumeration_on_random_instances():
     rng = random.Random(4242)
     for _ in range(60):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 7)
         inst = random_instance(rng, n)
         values = exhaustive_objectives(inst)
         best = min(values.values())
@@ -42,9 +42,11 @@ def test_matches_exhaustive_enumeration_on_random_instances():
 
 
 def test_ties_resolve_to_lexicographically_smallest():
-    # Huge due dates: every sequence scores 0, so all n! permutations tie.
+    # No job can be late: every sequence scores 0, so all n! permutations tie.
     inst = Instance(processing=(4, 2, 9), weight=(5, 1, 2), due=(99, 99, 99))
     assert brute_force_optimum(inst) == (0, (0, 1, 2))
+    inst = Instance(processing=(1,) * 16, weight=(1,) * 16, due=(16,) * 16)
+    assert brute_force_optimum(inst) == (0, tuple(range(16)))
 
 
 def test_certify_accepts_global_optimum(tiny_instance):
