@@ -41,11 +41,11 @@ class Instance:
                 f"field lengths differ: {n} processing times, "
                 f"{len(self.weight)} weights, {len(self.due)} due dates"
             )
-        if any(p < 1 for p in self.processing):
+        if min(self.processing) < 1:
             raise ValueError("processing times must be >= 1")
-        if any(w < 1 for w in self.weight):
+        if min(self.weight) < 1:
             raise ValueError("weights must be >= 1")
-        if any(d < 0 for d in self.due):
+        if min(self.due) < 0:
             raise ValueError("due dates must be >= 0")
 
     @property

@@ -156,9 +156,16 @@ def format_gap(final_objective: int, best_known: int | None) -> str:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write `lines` to `path` through a temporary file, so `path` holds the
+    old or the new content, never part of it.  If the write or the rename
+    fails, or is interrupted, the temporary file is removed."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trace_csv(path: Path, trace: RunTrace) -> None:

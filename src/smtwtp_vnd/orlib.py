@@ -10,6 +10,7 @@ self-describing, so n and count are always explicit.
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .core import Instance, _require, _require_count
 
@@ -96,12 +97,10 @@ def parse_orlib(text: str, n: int, count: int) -> BenchmarkSet:
 def serialize_orlib(benchmark: BenchmarkSet) -> str:
     """Render a BenchmarkSet back into the benchmark text layout (one line
     each for processing, weights, and due dates per instance)."""
-    lines = []
-    for inst in benchmark.instances:
-        lines.append(" ".join(map(str, inst.processing)))
-        lines.append(" ".join(map(str, inst.weight)))
-        lines.append(" ".join(map(str, inst.due)))
-    return "\n".join(lines) + "\n"
+    # Every instance of a set has the same n, so one row format serves all.
+    row = " ".join(["%d"] * benchmark.instances[0].n) + "\n"
+    return "".join(row % values for inst in benchmark.instances
+                   for values in (inst.processing, inst.weight, inst.due))
 
 
 def load_best_known(text: str, count: int) -> list[int]:
@@ -119,6 +118,16 @@ def load_best_known(text: str, count: int) -> list[int]:
                 f"token {pos}: best-known value {value} is negative"
             )
     return values
+
+
+def _randints(rng: random.Random, lo: int, hi: int, n: int):
+    """`n` values of `rng.randint(lo, hi)`, from the same `getrandbits`
+    calls in the same order: each try takes `width.bit_length()` bits, and a
+    try at or above the width is drawn again.  That is how `randint` draws
+    on Python 3.10-3.12; here the loop runs in C."""
+    width = hi - lo + 1
+    tries = map(rng.getrandbits, repeat(width.bit_length()))
+    return map(lo.__add__, islice(filter(width.__gt__, tries), n))
 
 
 def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
@@ -141,14 +150,14 @@ def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
     if not 0 <= tf <= 1:
         raise ValueError("tf must be in [0, 1]")
     rng = random.Random(seed)
-    processing = tuple(rng.randint(1, 100) for _ in range(n))
-    weight = tuple(rng.randint(1, 10) for _ in range(n))
+    processing = tuple(_randints(rng, 1, 100, n))
+    weight = tuple(_randints(rng, 1, 10, n))
     total = sum(processing)
     lo = math.ceil(total * (1 - tf - rdd / 2))
     hi = math.floor(total * (1 - tf + rdd / 2))
     if hi < lo:  # window narrower than one integer
         lo = hi
-    due = tuple(max(0, rng.randint(lo, hi)) for _ in range(n))
+    due = tuple(map(max, repeat(0), _randints(rng, lo, hi, n)))
     return Instance(processing, weight, due)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from smtwtp_vnd import (
     RunTrace,
     Strategy,
     crossover_report,
+    harness,
     run_experiment,
 )
 from smtwtp_vnd.harness import (
@@ -329,6 +331,60 @@ def test_experiment_files_are_what_it_wrote(tmp_path, overrides):
     assert names[len(cells):] == ["summary.csv", *(
         ["crossover.csv"] if len(spec.strategies) > 1 else []),
         "metadata.json"]
+
+
+def fail_on_call(call, error):
+    """`call`, but raising `error` instead of returning."""
+    def failing(*args, **kwargs):
+        call(*args, **kwargs)
+        raise error
+    return failing
+
+
+@pytest.mark.parametrize("target,error", [
+    ("replace", OSError("disk full")),
+    ("replace", KeyboardInterrupt()),
+    ("write", OSError("disk full")),
+], ids=["replace-oserror", "replace-interrupt", "write-oserror"])
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, target,
+                                               error):
+    spec = make_spec(tmp_path, strategies=(Strategy.FIXED,))
+    if target == "replace":
+        monkeypatch.setattr(harness.os, "replace",
+                            fail_on_call(lambda *args: None, error))
+    else:  # the temporary file is written, then the write fails
+        monkeypatch.setattr(Path, "write_text",
+                            fail_on_call(Path.write_text, error))
+    with pytest.raises(type(error)):
+        run_experiment(spec)
+    assert os.listdir(spec.out_dir) == []
+
+
+def test_interrupted_experiment_keeps_its_finished_traces(tmp_path,
+                                                          monkeypatch):
+    instances = tmp_path / "two.txt"
+    instances.write_text(TINY_TEXT + "  2 5 1  1 3 2  4 1 6")
+    strategies = (Strategy.FIXED, Strategy.ADAPTIVE)
+    whole = run_experiment(make_spec(
+        tmp_path, instance_file=instances, count=2, strategies=strategies,
+        out_dir=tmp_path / "whole"))
+    harness_run, calls = harness.run, []
+
+    def run_until_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return harness_run(*args)
+
+    monkeypatch.setattr(harness, "run", run_until_third)
+    spec = make_spec(tmp_path, instance_file=instances, count=2,
+                     strategies=strategies, out_dir=tmp_path / "cut")
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(spec)
+    finished = whole.files[:2]
+    assert sorted(os.listdir(spec.out_dir)) == sorted(p.name for p in finished)
+    for path in finished:
+        assert (spec.out_dir / path.name).read_bytes() == path.read_bytes()
 
 
 def test_experiment_metadata_holds_wall_times(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import math
+import random
 import re
 import sys
 
@@ -183,3 +186,47 @@ def test_generate_benchmark_set_shape():
     assert all(inst.n == 4 for inst in benchmark.instances)
     again = generate_benchmark_set(n=4, seed=100)
     assert again.instances == benchmark.instances
+
+
+def randint_instance(n, seed, rdd, tf):
+    """`generate_instance` as written with `random.randint`, whose draws the
+    generator must reproduce, and the due date window's case."""
+    rng = random.Random(seed)
+    processing = tuple(rng.randint(1, 100) for _ in range(n))
+    weight = tuple(rng.randint(1, 10) for _ in range(n))
+    total = sum(processing)
+    lo = math.ceil(total * (1 - tf - rdd / 2))
+    hi = math.floor(total * (1 - tf + rdd / 2))
+    if hi < lo:
+        lo, case = hi, "hi < lo"
+    else:
+        case = "lo < 0" if lo < 0 else "window"
+    due = tuple(max(0, rng.randint(lo, hi)) for _ in range(n))
+    return Instance(processing, weight, due), case
+
+
+# (rdd, tf) points: the classical grid's corners and middle, a window that
+# starts below zero (1, 1), and windows of at most one integer, most of
+# which take the `hi < lo` branch.
+GRID_POINTS = [(0.2, 0.2), (0.6, 0.4), (1.0, 0.0), (1, 1), (0.2, 1.0),
+               (0.001, 0.5), (1e-9, 0.3)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 30, 100])
+def test_generate_draws_what_randint_draws(n):
+    cases = set()
+    for seed in range(50):
+        for rdd, tf in GRID_POINTS:
+            expected, case = randint_instance(n, seed, rdd, tf)
+            assert generate_instance(n, seed, rdd, tf) == expected
+            cases.add(case)
+    assert cases == {"hi < lo", "lo < 0", "window"}
+
+
+@pytest.mark.parametrize("n,digest", [
+    (8, "e970a58fc0263cebd43240434b82edf03bc0d3072801bbb62cbbae0d2c2bbceb"),
+    (100, "9bf8017634d9781c973165b31825622248ddc57e1ff98b56c609e35490bcfe53"),
+])
+def test_generated_set_text_is_pinned(n, digest):
+    text = serialize_orlib(generate_benchmark_set(n, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
