@@ -188,12 +188,24 @@ def test_generate_benchmark_set_shape():
     assert again.instances == benchmark.instances
 
 
-def randint_instance(n, seed, rdd, tf):
-    """`generate_instance` as written with `random.randint`, whose draws the
-    generator must reproduce, and the due date window's case."""
+def rejection_randint(rng, lo, hi):
+    """`rng.randint(lo, hi)` as Python 3.10-3.12 implement it: take the
+    width's bit length in bits and draw again while the result is at or
+    above the width."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def reference_instance(n, seed, rdd, tf, randint=rejection_randint):
+    """`generate_instance` written one `randint(rng, lo, hi)` call per value,
+    and the due date window's case."""
     rng = random.Random(seed)
-    processing = tuple(rng.randint(1, 100) for _ in range(n))
-    weight = tuple(rng.randint(1, 10) for _ in range(n))
+    processing = tuple(randint(rng, 1, 100) for _ in range(n))
+    weight = tuple(randint(rng, 1, 10) for _ in range(n))
     total = sum(processing)
     lo = math.ceil(total * (1 - tf - rdd / 2))
     hi = math.floor(total * (1 - tf + rdd / 2))
@@ -201,7 +213,7 @@ def randint_instance(n, seed, rdd, tf):
         lo, case = hi, "hi < lo"
     else:
         case = "lo < 0" if lo < 0 else "window"
-    due = tuple(max(0, rng.randint(lo, hi)) for _ in range(n))
+    due = tuple(max(0, randint(rng, lo, hi)) for _ in range(n))
     return Instance(processing, weight, due), case
 
 
@@ -217,8 +229,11 @@ def test_generate_draws_what_randint_draws(n):
     cases = set()
     for seed in range(50):
         for rdd, tf in GRID_POINTS:
-            expected, case = randint_instance(n, seed, rdd, tf)
+            expected, case = reference_instance(n, seed, rdd, tf)
             assert generate_instance(n, seed, rdd, tf) == expected
+            if (3, 10) <= sys.version_info[:2] <= (3, 12):
+                assert reference_instance(
+                    n, seed, rdd, tf, random.Random.randint) == (expected, case)
             cases.add(case)
     assert cases == {"hi < lo", "lo < 0", "window"}
 
