@@ -16,8 +16,10 @@ and cost across its scans and, after an accept, refreshes only the accepted
 span; a reversal descent also keeps each block's change and re-scores only
 the blocks that overlap that span.  A scan ticks each candidate as it reaches
 it and yields only those that improve on its best so far; an exchange whose
-exact lower bound shows it cannot is not scored further.  So counts and
-traces are those of scoring each candidate in turn.
+exact lower bound shows it cannot is not scored further.  A scan runs its
+whole neighborhood unless `descend`'s capped tick stops it, at the move where
+the probe cap or the evaluation budget falls.  So counts and traces are those
+of scoring each candidate in turn.
 """
 
 import math
@@ -25,7 +27,7 @@ import random
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple, get_args
 
 from .core import (EvalCounter, Instance, RunTrace, Sequence, _require_count,
@@ -119,10 +121,10 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
 
 
 def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
-          change: list, lo: int, hi: int, last: int,
+          change: list, lo: int, hi: int,
           tick: Callable[[], object]) -> Iterator[tuple[int, int, int]]:
-    """Scan the first `last` moves of `kind`, in `enumerate_moves` order,
-    calling `tick` once as it reaches each, and yield `(i, j, c)` when the
+    """Scan the moves of `kind`, in `enumerate_moves` order, calling
+    `tick` once as it reaches each, and yield `(i, j, c)` when the
     move `Move(kind, i, j)` changes the objective by `c` < `limit[0]`, the
     scan's best change (0 at first), which the caller lowers as the scan
     improves.
@@ -135,10 +137,12 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
     EX scores a move no further once its exact lower bound reaches
     `limit[0]`.  A reversal descent keeps each block's change in `change`
     across its scans and re-scores only the blocks that overlap `lo..hi`.
+    A scan runs its whole neighborhood unless `tick` raises: `descend`'s
+    capped tick stops it at the move where an evaluation limit falls.
     """
     k = _BLOCK_LENGTH.get(kind)
     if k is not None:
-        return _reversals(k, *tables, change, lo, hi, limit, last, tick)
+        return _reversals(k, *tables, change, lo, hi, limit, tick)
     P, W, D, comp, cost = tables
     pre = [0, *accumulate(cost)]         # cost of positions < m
     gap = 1 if nested else 2
@@ -146,17 +150,17 @@ def _scan(kind: Neighborhood, nested: bool, tables: tuple, limit: list,
         # Tardy weight of positions < m: every weight is >= 1, so a
         # position is tardy exactly when its cost is above 0.
         tw = [0, *accumulate(wm if c else 0 for wm, c in zip(W, cost))]
-        return _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick)
+        return _exchanges(gap, P, W, D, comp, pre, tw, limit, tick)
     if kind is Neighborhood.FSH_NO_APEX:
-        return _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick)
-    return _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick)
+        return _forward_shifts(gap, P, W, D, comp, pre, limit, tick)
+    return _backward_shifts(gap, P, W, D, comp, pre, limit, tick)
 
 
-def _reversals(k, P, W, D, comp, cost, change, lo, hi, limit, last, tick):
+def _reversals(k, P, W, D, comp, cost, change, lo, hi, limit, tick):
     # Reverse positions i..i+k-1 (move index i): change[i] is what that adds
     # to the cost.  Only the blocks that overlap lo..hi have new jobs or
     # completion times, and each is re-scored in O(k).  Every entry is
-    # filled before the first tick: a scan may be abandoned midway.
+    # filled before the first tick: a scan may be stopped midway.
     n = len(P)
     lo, hi = max(0, lo - k + 1), min(n - k, hi)
     pre = [0, *accumulate(cost[lo:hi + k])]  # cost of lo..m-1 as pre[m - lo]
@@ -168,28 +172,25 @@ def _reversals(k, P, W, D, comp, cost, change, lo, hi, limit, last, tick):
             if t > D[m]:
                 value += W[m] * (t - D[m])
         change[i] = value
-    for i in range(last):
+    for i in range(n - k + 1):
         tick()
         if change[i] < limit[0]:
             yield i, i + k - 1, change[i]
 
 
-def _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick):
+def _exchanges(gap, P, W, D, comp, pre, tw, limit, tick):
     # Swap positions i < j: the jobs between move by delta = P[j] - P[i].
     # max(0, L + delta) >= max(0, L) + min(delta, 0) * [L > 0], so their
     # cost is at least its value now plus min(delta, 0) times their tardy
-    # weight, and at least 0; only a candidate that this bound leaves below
-    # the scan's best gets the O(j - i) scan of its inner jobs.  `t` moves
-    # come before row i.
+    # weight; only a candidate that this bound leaves below the scan's best
+    # gets the O(j - i) scan of its inner jobs.
     n = len(P)
-    t = 0
     for i in range(n - gap):
         pi, wi, di = P[i], W[i], D[i]
         start = comp[i] - pi
         head = pre[i]
         inner_pre, inner_tw = pre[i + 1], tw[i + 1]
-        first = i + gap
-        for j in range(first, min(n, first + last - t)):
+        for j in range(i + gap, n):
             tick()
             pj = P[j]
             delta = pj - pi
@@ -201,8 +202,6 @@ def _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick):
             bound = pre[j] - inner_pre
             if delta < 0:
                 bound += delta * (tw[j] - inner_tw)
-                if bound < 0:
-                    bound = 0
             if value + bound >= limit[0]:
                 continue
             for m in range(i + 1, j):
@@ -210,16 +209,12 @@ def _exchanges(gap, P, W, D, comp, pre, tw, limit, last, tick):
                     value += W[m] * (comp[m] + delta - D[m])
             if value < limit[0]:
                 yield i, j, value
-        t += n - first
-        if t >= last:
-            return
 
 
-def _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
+def _forward_shifts(gap, P, W, D, comp, pre, limit, tick):
     # Job i to position j > i: jobs i+1..j move earlier by P[i], summed as
     # j rises, so O(1) per candidate.
     n = len(P)
-    t = 0
     for i in range(n - gap):
         pi, wi, di = P[i], W[i], D[i]
         head = pre[i]
@@ -227,8 +222,7 @@ def _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
         for m in range(i + 1, i + gap):
             if comp[m] - pi > D[m]:
                 moved += W[m] * (comp[m] - pi - D[m])
-        first = i + gap
-        for j in range(first, min(n, first + last - t)):
+        for j in range(i + gap, n):
             tick()
             if comp[j] - pi > D[j]:
                 moved += W[j] * (comp[j] - pi - D[j])
@@ -237,16 +231,12 @@ def _forward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
                 value += wi * (comp[j] - di)
             if value < limit[0]:
                 yield i, j, value
-        t += n - first
-        if t >= last:
-            return
 
 
-def _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
+def _backward_shifts(gap, P, W, D, comp, pre, limit, tick):
     # Job i to position j < i: jobs j..i-1 move later by P[i]; per i, the
     # moved cost of j..i-1 is their total less that of 0..j-1.
     n = len(P)
-    t = 0
     for i in range(gap, n):
         pi, wi, di = P[i], W[i], D[i]
         moved = [W[m] * (comp[m] + pi - D[m]) if comp[m] + pi > D[m] else 0
@@ -254,7 +244,7 @@ def _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
         rest = sum(moved)
         tail = -pre[i + 1]
         start = 0
-        for j in range(min(i - gap + 1, last - t)):
+        for j in range(i - gap + 1):
             tick()
             value = pre[j] + rest + tail
             if start + pi > di:
@@ -263,9 +253,21 @@ def _backward_shifts(gap, P, W, D, comp, pre, limit, last, tick):
                 yield i, j, value
             rest -= moved[j]
             start = comp[j]
-        t += i - gap + 1
-        if t >= last:
-            return
+
+
+class _Stop(Exception):
+    """Raised by a capped tick at the move where a scan must stop."""
+
+
+def _stop():
+    raise _Stop
+
+
+def _capped(tick: Callable[[], object], last: int) -> Callable[[], object]:
+    """`tick` for the first `last` calls; the next raises `_Stop` before
+    its move counts."""
+    ticks = repeat(tick, last)
+    return lambda: next(ticks, _stop)()
 
 
 def descend(
@@ -289,9 +291,12 @@ def descend(
     accepted move's span, the one span whose jobs it permutes.  Scans run
     in the neighborhood's deterministic move order, tick the counter once
     per move, and yield only the moves that improve on their best so far,
-    each of which goes to `trace`.  A scan stops when the counter reaches
-    `max_candidates` evaluations of this call (adaptive's probe cap; an
-    `int` of at least 1 when set) or the run's `config.max_evaluations`.
+    each of which goes to `trace`.  A scan runs its whole neighborhood
+    unless the counter would reach `max_candidates` evaluations of this
+    call (adaptive's probe cap; an `int` of at least 1 when set) or the
+    run's `config.max_evaluations` within it: then this function, the one
+    place that decides where a scan stops, hands it a capped tick that
+    stops it at the move where that limit falls.
     The best improving candidate of a stopped scan is still accepted, so
     the returned sequence is always the best sequence evaluated.  The last
     scan yields nothing, so it runs to its stop or the neighborhood's end;
@@ -334,19 +339,24 @@ def descend(
             clock += pm
             comp[m] = clock
             cost[m] = wm * (clock - dm) if clock > dm else 0
-        # The scan may reach moves 0..last-1; a stop falls on move last.
+        # The scan may reach moves 0..last-1; a stop falls on move last.  A
+        # scan that may run whole ticks the counter itself, at no extra cost.
         last = min(size, stop - counter.count)
         best = None
         # The scan's best change; each move the scan yields is a new best.
         limit = [0]
-        for i, j, c in _scan(kind, config.nested, tables, limit, change,
-                             lo, hi, last, tick):
-            # The run's best is never above the scan's, so only a scan
-            # improvement can be a new point of the trace.
-            trace.record_if_improved(counter, current_obj + c)
-            best, limit[0] = (i, j), c
-            if first:
-                break
+        try:
+            for i, j, c in _scan(
+                    kind, config.nested, tables, limit, change, lo, hi,
+                    tick if last == size else _capped(tick, last)):
+                # The run's best is never above the scan's, so only a scan
+                # improvement can be a new point of the trace.
+                trace.record_if_improved(counter, current_obj + c)
+                best, limit[0] = (i, j), c
+                if first:
+                    break
+        except _Stop:
+            pass
         if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.

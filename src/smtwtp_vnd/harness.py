@@ -205,7 +205,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     one trace CSV per cell plus summary, crossover, and metadata files.
 
     Raises ValueError, before any cell runs, when `spec.out_dir` holds a
-    trace or crossover file that this run would not overwrite."""
+    trace or crossover file, or the temporary file of one, that this run
+    would not overwrite."""
     benchmark = load_benchmark(spec)
     best_known = ([None] * spec.count if spec.best_known_file is None
                   else load_best_known(Path(spec.best_known_file).read_text(),
@@ -228,9 +229,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     files = [p for p in (*trace_files.values(), summary_file, crossover_file,
                          metadata_file) if p is not None]
 
+    # A run killed while it writes `<name>` leaves `<name>.tmp` behind.
     planned = {p.name for p in files}
     stale = sorted(p.name for pattern in ("trace_*.csv", "crossover.csv")
-                   for p in out_dir.glob(pattern) if p.name not in planned)
+                   for tmp in ("", ".tmp") for p in out_dir.glob(pattern + tmp)
+                   if p.name.removesuffix(tmp) not in planned)
     if stale:
         raise ValueError(f"{out_dir} holds output of another run that this "
                          f"one would not overwrite: {', '.join(stale[:3])}")

@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 import re
+import sys
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+import smtwtp_vnd
 from smtwtp_vnd import (
     EvalCounter,
     ExperimentSpec,
@@ -128,6 +131,22 @@ def test_trace_guards_evaluation_monotonicity():
     trace = RunTrace(points=[(5, 100)])
     with pytest.raises(ValueError, match="already has a point"):
         trace.record_if_improved(EvalCounter(count=5), 90)
+
+
+def test_the_package_imports_only_the_standard_library():
+    modules = sorted(Path(smtwtp_vnd.__file__).parent.rglob("*.py"))
+    assert "engine.py" in {path.name for path in modules}
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            outside = [name for name in names
+                       if name.partition(".")[0] not in sys.stdlib_module_names]
+            assert not outside, (path.name, outside)
 
 
 # --- refusals ---------------------------------------------------------------

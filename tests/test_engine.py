@@ -357,7 +357,7 @@ def test_a_phantom_improvement_fails_fast(tiny_instance, change, scans,
     # on its sixth accept of -1, or on its first of 0.
     scanned = 0
 
-    def phantom(kind, nested, tables, limit, change_, lo, hi, last, tick):
+    def phantom(kind, nested, tables, limit, change_, lo, hi, tick):
         nonlocal scanned
         scanned += 1
         tick()

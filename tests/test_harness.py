@@ -315,6 +315,32 @@ def test_experiment_refuses_output_of_another_run(tmp_path, first, second,
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
+@pytest.mark.parametrize("leftover,refused", [
+    ("trace_i001_random_s0.csv.tmp", True),
+    ("crossover.csv.tmp", True),
+    ("trace_i001_fixed_s0.csv.tmp", False),
+    ("summary.csv.tmp", False),
+])
+def test_experiment_refuses_a_half_written_file_of_another_run(
+        tmp_path, leftover, refused):
+    # A run killed while it writes `<name>` leaves `<name>.tmp`.  A fixed-only
+    # run writes neither a random trace nor `crossover.csv`, so their
+    # temporary files are another run's; its own write replaces the others.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / leftover).write_text("0,1\n")
+    spec = make_spec(tmp_path, strategies=(Strategy.FIXED,))
+    if refused:
+        with pytest.raises(ValueError,
+                           match=f"would not overwrite: {leftover}$"):
+            run_experiment(spec)
+        assert [p.name for p in out_dir.iterdir()] == [leftover]
+    else:
+        output = run_experiment(spec)
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            p.name for p in output.files)
+
+
 @pytest.mark.parametrize("overrides", [
     {"strategies": (Strategy.FIXED,)}, {}, {"replications": 2}])
 def test_experiment_files_are_what_it_wrote(tmp_path, overrides):

@@ -60,9 +60,12 @@ def improving(candidates):
 def ticked(scan, counter: EvalCounter):
     """`(t, i, j, c)` for each `(i, j, c)` that `scan` yields, t being the
     move's index: the scan ticks `counter` once per move it reaches, so
-    `counter.count - 1` right after a yield."""
-    for i, j, c in scan:
-        yield counter.count - 1, i, j, c
+    `counter.count - 1` right after a yield.  A capped tick's stop ends it."""
+    try:
+        for i, j, c in scan:
+            yield counter.count - 1, i, j, c
+    except engine._Stop:
+        pass
 
 
 @pytest.mark.parametrize("nested", [False, True])
@@ -77,9 +80,12 @@ def test_every_candidate_value_is_exact(kind, nested):
 
             def first_scan(limit, last=len(moves)):
                 counter = EvalCounter()
+                # A scan stops only where `descend` caps its tick.
+                tick = (engine._capped(counter.tick, last)
+                        if last < len(moves) else counter.tick)
                 found = list(ticked(engine._scan(
                     kind, nested, position_tables(inst, seq), [limit],
-                    [0] * n, 0, n - 1, last, counter.tick), counter))
+                    [0] * n, 0, n - 1, tick), counter))
                 # A scan that is not broken off ticks each of its moves.
                 assert counter.count == last
                 return found
@@ -111,7 +117,7 @@ def test_every_scan_of_every_small_permutation_is_exact():
                 counter = EvalCounter()
                 found = ticked(engine._scan(
                     kind, nested, position_tables(inst, seq), [math.inf],
-                    [0] * n, 0, n - 1, len(moves), counter.tick), counter)
+                    [0] * n, 0, n - 1, counter.tick), counter)
                 assert list(found) == scored(inst, seq, moves), \
                     (kind, nested, seq)
                 scans += 1
@@ -133,18 +139,18 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
     config = StrategyConfig(Strategy.FIXED, nested=nested)
     checked = 0
 
-    def chained(kind, nested, tables, limit, change, lo, hi, last, tick):
+    def chained(kind, nested, tables, limit, change, lo, hi, tick):
         nonlocal seq, checked
-        assert limit == [0] and last == len(moves)
+        # No evaluation limit falls in these descents: the tick is not capped.
+        assert limit == [0] and tick == descent_counter.tick
         # The refresh after each accept left the tables of `seq`.
         assert tables == position_tables(inst, seq)
         counter, unscreened_counter = EvalCounter(), EvalCounter()
         scan = ticked(real_scan(kind, nested, tables, limit, change, lo, hi,
-                                last, counter.tick), counter)
+                                counter.tick), counter)
         # Nothing to beat: every move is yielded.
         unscreened = ticked(real_scan(kind, nested, tables, [math.inf],
-                                      change, lo, hi, last,
-                                      unscreened_counter.tick),
+                                      change, lo, hi, unscreened_counter.tick),
                             unscreened_counter)
         taken = rng.randint(0, len(moves))
         every = scored(inst, seq, moves[:taken])
@@ -170,10 +176,11 @@ def test_chained_rescans_are_exact(kind, nested, monkeypatch):
             chain = ([moves[0], moves[-1], *rng.choices(moves, k=8)]
                      if moves else [])
             rng.shuffle(chain)
+            descent_counter = EvalCounter()
             # Each accept claims a change of -1: start high enough that the
             # descent's objective never falls below 0.
             result = engine.descend(
-                inst, start, kind, config, EvalCounter(), RunTrace(),
+                inst, start, kind, config, descent_counter, RunTrace(),
                 start_objective=objective_value(inst, start) + len(chain))
             assert not chain and result.sequence == seq
     assert checked > 1000
