@@ -66,11 +66,11 @@ class Termination(Enum):
     EVALUATION_BUDGET = "evaluation_budget"
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Everything that determines a run besides the instance itself."""
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """The settings of a run besides its strategy and instance, each taken
+    by keyword; `StrategyConfig` and `harness.ExperimentSpec` extend it."""
 
-    strategy: Strategy
     descent_rule: DescentRule = DescentRule.BEST_IMPROVEMENT
     probe_budget: int = 100
     seed: int = 0
@@ -78,18 +78,31 @@ class StrategyConfig:
     max_evaluations: int | None = None
     initial: InitialOrder = InitialOrder.AS_GIVEN
 
+
+@dataclass(frozen=True)
+class StrategyConfig(RunSettings):
+    """Everything that determines a run besides the instance itself."""
+
+    strategy: Strategy
+
     def __post_init__(self):
-        for f in fields(self):
+        for name, kinds in _FIELD_TYPES:
             # Exact types: `bool` is an `int` subclass, not a count or seed.
-            value = getattr(self, f.name)
-            # A field of `int | None` is named by its first type, int.
-            kinds = get_args(f.type) or (f.type,)
+            value = getattr(self, name)
             if type(value) not in kinds:
-                raise TypeError(f"{f.name} must be {kinds[0].__name__}, "
+                raise TypeError(f"{name} must be {kinds[0].__name__}, "
                                 f"got {value!r}")
         _require_count(probe_budget=self.probe_budget)
         if self.max_evaluations is not None:
             _require_count(max_evaluations=self.max_evaluations)
+
+
+# Each field's name and types, taken once (`get_args` would take half of a
+# config's time): the strategy, the one positional field, first.  A field of
+# `int | None` is named by its first type, int.
+*_settings, _strategy = fields(StrategyConfig)
+_FIELD_TYPES = [(f.name, get_args(f.type) or (f.type,))
+                for f in (_strategy, *_settings)]
 
 
 @dataclass(frozen=True)

@@ -14,30 +14,25 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from .core import RunTrace, _require, _require_count
-from .engine import (
-    DescentRule,
-    InitialOrder,
-    RunResult,
-    Strategy,
-    StrategyConfig,
-    run,
-)
+from .engine import RunResult, RunSettings, Strategy, StrategyConfig, run
 from .orlib import BenchmarkSet, load_best_known, parse_int, parse_orlib
 
 TRACE_HEADER = "evaluations,best_objective"
 SUMMARY_HEADER = "instance,strategy,seed,final_objective,evaluations,terminated_by,gap"
 CROSSOVER_HEADER = "instance,seed,first,second,never_worse_from"
+# Taken once: `fields` would cost each cell's `config` about a fifth more.
+_SETTINGS = [f.name for f in fields(RunSettings)]
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec(RunSettings):
     """One experiment: which instances, which strategies, how many seeded
-    replications, and the full strategy configuration."""
+    replications, and the run settings of every cell, each by keyword."""
 
     instance_file: Path
     n: int
@@ -46,12 +41,6 @@ class ExperimentSpec:
     instance_indices: tuple[int, ...] | None = None  # 1-based; None = all
     strategies: tuple[Strategy, ...] = tuple(Strategy)
     replications: int = 1
-    descent_rule: DescentRule = StrategyConfig.descent_rule
-    probe_budget: int = StrategyConfig.probe_budget
-    seed: int = StrategyConfig.seed
-    nested: bool = StrategyConfig.nested
-    max_evaluations: int | None = StrategyConfig.max_evaluations
-    initial: InitialOrder = StrategyConfig.initial
     best_known_file: Path | None = None
 
     def __post_init__(self):
@@ -81,10 +70,8 @@ class ExperimentSpec:
 
     def config(self, strategy: Strategy, seed: int) -> StrategyConfig:
         """The configuration of this experiment's (strategy, seed) runs."""
-        return StrategyConfig(
-            strategy, descent_rule=self.descent_rule,
-            probe_budget=self.probe_budget, seed=seed, nested=self.nested,
-            max_evaluations=self.max_evaluations, initial=self.initial)
+        settings = {name: getattr(self, name) for name in _SETTINGS}
+        return StrategyConfig(strategy, **settings | {"seed": seed})
 
 
 @dataclass

@@ -21,11 +21,15 @@ class BenchmarkFormatError(ValueError):
 
 @dataclass(frozen=True)
 class BenchmarkSet:
-    """Instances of one benchmark file, all with the same job count."""
+    """Instances of one benchmark file, at least one, all with the same job
+    count.  They are kept as a tuple, so the set cannot change."""
 
-    instances: list[Instance]
+    instances: tuple[Instance, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "instances", tuple(self.instances))
+        if not self.instances:
+            raise ValueError("a benchmark set needs at least one instance")
         sizes = {inst.n for inst in self.instances}
         if len(sizes) != 1:
             raise ValueError(f"instances must share one job count, got {sorted(sizes)}")

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from smtwtp_vnd import (
     StrategyConfig,
     cli,
 )
-from smtwtp_vnd.cli import main
+from smtwtp_vnd.cli import build_parser, main
+from smtwtp_vnd.engine import RunSettings
 
 TINY_TEXT = "3 1 2  2 1 1  2 4 3"
 
@@ -123,6 +126,12 @@ def test_cli_flags_map_onto_spec_fields(monkeypatch):
         nested=False)
 
 
+def test_every_run_setting_has_one_flag():
+    dests = Counter(action.dest for action in build_parser()._actions)
+    assert {f.name: dests[f.name] for f in fields(RunSettings)} == {
+        f.name: 1 for f in fields(RunSettings)}
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_spec_run_defaults_are_the_engine_defaults(seed):
     spec = ExperimentSpec(instance_file=Path("in.txt"), n=3, count=1,
@@ -130,6 +139,19 @@ def test_spec_run_defaults_are_the_engine_defaults(seed):
     for strategy in Strategy:
         assert spec.config(strategy, seed) == StrategyConfig(strategy,
                                                              seed=seed)
+
+
+def test_spec_config_carries_every_run_setting():
+    settings = dict(descent_rule=DescentRule.FIRST_IMPROVEMENT,
+                    probe_budget=7, seed=3, nested=True, max_evaluations=50,
+                    initial=InitialOrder.EDD)
+    assert [f.name for f in fields(RunSettings)
+            if settings[f.name] != f.default] == list(settings)
+    spec = ExperimentSpec(instance_file=Path("in.txt"), n=3, count=1,
+                          out_dir=Path("out"), **settings)
+    for strategy in Strategy:
+        assert spec.config(strategy, 9) == StrategyConfig(
+            strategy, **settings | {"seed": 9})
 
 
 def refused(named, *args):

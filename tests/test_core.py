@@ -1,5 +1,6 @@
 import ast
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -10,8 +11,11 @@ import pytest
 
 import smtwtp_vnd
 from smtwtp_vnd import (
+    BenchmarkSet,
+    DescentRule,
     EvalCounter,
     ExperimentSpec,
+    InitialOrder,
     Instance,
     Move,
     Neighborhood,
@@ -266,8 +270,13 @@ REFUSALS = {
          0, 1, {"replicates": 1.0}),
         ("n-0-replicates-0", V, "n must be >= 1, got 0",
          0, 1, {"replicates": 0}),
-        ("no-rdd", V, "instances must share one job count, got []",
+        ("no-rdd", V, "a benchmark set needs at least one instance",
          3, 1, {"rdd_values": ()}),
+        ("no-tf", V, "a benchmark set needs at least one instance",
+         3, 1, {"tf_values": ()}),
+    ],
+    BenchmarkSet: [
+        ("empty", V, "a benchmark set needs at least one instance", []),
     ],
     generate_instance: [
         ("n-float-rdd-2", T, "n must be int, got 2.0", 2.0, 1, 2, 0.4),
@@ -290,6 +299,9 @@ REFUSALS = {
     # not Strategy.FIXED, and "off" is a true flag.
     StrategyConfig: [
         ("strategy-str", T, "strategy must be Strategy, got 'fixed'", "fixed"),
+        ("strategy-str-descent_rule-str", T,
+         "strategy must be Strategy, got 'fixed'",
+         "fixed", {"descent_rule": "best"}),
     ],
     config: [
         ("descent_rule-str", T, "descent_rule must be DescentRule, got "
@@ -342,6 +354,27 @@ def test_refusal(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as refusal:
         call()
     assert refusal.type is error
+
+
+# By position, a run setting would bind by its place in the shared base.
+@pytest.mark.parametrize("call", [
+    partial(StrategyConfig, FIXED, DescentRule.FIRST_IMPROVEMENT),
+    partial(ExperimentSpec, Path("in.txt"), 3, 1, Path("out")),
+], ids=["StrategyConfig", "ExperimentSpec"])
+def test_run_settings_are_keyword_only(call):
+    with pytest.raises(TypeError, match="positional argument"):
+        call()
+
+
+# A cell sent to another process travels as an instance and a config.
+@pytest.mark.parametrize("value", [
+    TINY,
+    config(descent_rule=DescentRule.FIRST_IMPROVEMENT, probe_budget=7,
+           seed=3, nested=True, max_evaluations=50, initial=InitialOrder.EDD),
+    spec(strategies=(FIXED,), replications=2, seed=4, nested=True),
+], ids=["Instance", "StrategyConfig", "ExperimentSpec"])
+def test_value_survives_pickling(value):
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 # The accepted edge of each range.

@@ -385,14 +385,17 @@ def run_grid():
     rng, seeds = random.Random(12), itertools.count()
     sample = list(itertools.product(Strategy, DescentRule, (False, True),
                                     InitialOrder, (1, 100)))
-    grid = [(inst, StrategyConfig(s, rule, probe, next(seeds), nested,
+    grid = [(inst, StrategyConfig(s, descent_rule=rule, probe_budget=probe,
+                                  seed=next(seeds), nested=nested,
                                   initial=initial))
             for n in range(1, 31) for inst in [random_instance(rng, n)]
             for s, rule, nested, initial, probe in rng.sample(
                 sample, 24 if n <= 12 else 6)]
     for n, index in [(12, 41), (20, 81)]:
         inst = generate_benchmark_set(n=n, seed=7).instances[index - 1]
-        grid += [(inst, StrategyConfig(s, rule, probe, n, nested))
+        grid += [(inst, StrategyConfig(s, descent_rule=rule,
+                                       probe_budget=probe, seed=n,
+                                       nested=nested))
                  for s, probe in [*zip(Strategy, [100] * 3),
                                   (Strategy.ADAPTIVE, 1)]
                  for rule in DescentRule for nested in (False, True)]

@@ -138,6 +138,8 @@ def test_benchmark_set_is_immutable():
     benchmark = BenchmarkSet(instances=[Instance((1,), (1,), (0,))])
     with pytest.raises(AttributeError):
         benchmark.instances = []
+    with pytest.raises(AttributeError):
+        benchmark.instances.clear()
 
 
 def test_generate_is_deterministic():
