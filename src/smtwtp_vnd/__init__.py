@@ -5,14 +5,7 @@ Seven permutation move operators, three neighborhood selection strategies
 experiment harness that accounts for every objective evaluation.
 """
 
-from .core import (
-    EvalCounter,
-    Instance,
-    RunTrace,
-    Sequence,
-    is_permutation,
-    objective_value,
-)
+from .core import Instance, RunTrace, Sequence, objective_value
 from .engine import (
     DescentRule,
     InitialOrder,
@@ -20,7 +13,6 @@ from .engine import (
     Strategy,
     StrategyConfig,
     Termination,
-    descend,
     run,
 )
 from .harness import (
@@ -54,7 +46,6 @@ __all__ = [
     "BenchmarkSet",
     "CANONICAL_ORDER",
     "DescentRule",
-    "EvalCounter",
     "ExperimentSpec",
     "InitialOrder",
     "Instance",
@@ -70,11 +61,9 @@ __all__ = [
     "brute_force_optimum",
     "certify_local_optimum",
     "crossover_report",
-    "descend",
     "enumerate_moves",
     "generate_benchmark_set",
     "generate_instance",
-    "is_permutation",
     "load_best_known",
     "neighborhood_size",
     "objective_value",

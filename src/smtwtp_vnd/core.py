@@ -1,10 +1,13 @@
-"""Problem data model, objective evaluation, and evaluation accounting.
+"""Problem data model, objective evaluation, evaluation accounting, and
+the one rule by which the package draws random integers.
 
 All job data is integer valued.  Job indices are 0-based everywhere in the
 API; 1-based indices appear only in user-facing output.
 """
 
+import random
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 Sequence = tuple[int, ...]
 """A processing order: a permutation of the job indices 0..n-1."""
@@ -74,20 +77,20 @@ class RunTrace:
 
     points: list[tuple[int, int]] = field(default_factory=list)
 
-    def record_if_improved(self, counter: EvalCounter, objective: int) -> None:
-        """Append a point at the counter's current count when `objective`
+    def record_if_improved(self, evaluations: int, objective: int) -> None:
+        """Append the point `(evaluations, objective)` when `objective`
         strictly improves on the last recorded best (a first point is always
         recorded)."""
         if self.points:
             last_evals, last_best = self.points[-1]
             if objective >= last_best:
                 return
-            if counter.count <= last_evals:
+            if evaluations <= last_evals:
                 raise ValueError(
                     f"trace already has a point at evaluation {last_evals}; "
-                    f"counter is at {counter.count}"
+                    f"got evaluation {evaluations}"
                 )
-        self.points.append((counter.count, objective))
+        self.points.append((evaluations, objective))
 
 
 def _require(kind: type, **values) -> None:
@@ -108,12 +111,16 @@ def _require_count(**values) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def is_permutation(order: Sequence, n: int) -> bool:
-    """True iff `order` contains each of 0..n-1 exactly once, each an `int`
-    (`True` is not the job 1)."""
-    _require(int, n=n)
-    return (len(order) == n and all(type(j) is int for j in order)
-            and sorted(order) == list(range(n)))
+def _randints(rng: random.Random, lo: int, hi: int, n: int):
+    """`n` values of `rng.randint(lo, hi)`, from the same `getrandbits`
+    calls in the same order: each try takes `width.bit_length()` bits, and a
+    try at or above the width is drawn again.  That is how `randint`,
+    `randrange` and `shuffle` draw on Python 3.10-3.12, whose `random` docs
+    promise only `random()`'s sequence across versions; here the loop runs
+    in C."""
+    width = hi - lo + 1
+    tries = map(rng.getrandbits, repeat(width.bit_length()))
+    return map(lo.__add__, islice(filter(width.__gt__, tries), n))
 
 
 def objective_value(instance: Instance, order: Sequence) -> int:

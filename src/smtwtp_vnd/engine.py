@@ -30,8 +30,8 @@ from enum import Enum
 from itertools import accumulate, repeat
 from typing import NamedTuple, get_args
 
-from .core import (EvalCounter, Instance, RunTrace, Sequence, _require_count,
-                   objective_value)
+from .core import (EvalCounter, Instance, RunTrace, Sequence, _randints,
+                   _require_count, objective_value)
 # enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
     _BLOCK_LENGTH,
@@ -128,8 +128,11 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
         return tuple(range(n))
     if config.initial is InitialOrder.EDD:
         return tuple(sorted(range(n), key=lambda j: (instance.due[j], j)))
+    # Fisher-Yates in `shuffle`'s order, each j drawn below i + 1.
     order = list(range(n))
-    rng.shuffle(order)
+    for i in reversed(range(1, n)):
+        j = next(_randints(rng, 0, i, 1))
+        order[i], order[j] = order[j], order[i]
     return tuple(order)
 
 
@@ -294,8 +297,13 @@ def descend(
     start_objective: int,
     max_candidates: int | None = None,
 ) -> DescentResult:
-    """Descend from `start`, whose objective is `start_objective`, within
-    one neighborhood until no move improves.
+    """Descend from `start` within one neighborhood until no move improves.
+
+    This is one step of `run`'s loop and is not checked again here: `run`
+    passes a `start` that is a tuple and a permutation of the instance's
+    jobs, a `start_objective` that is exactly its objective, and a
+    `max_candidates` that is None or the `probe_budget` that
+    `StrategyConfig` has checked.
 
     Only candidate sequences are evaluated (and counted): `_scan` scores
     every move's change of objective from the span it changes.  The
@@ -306,10 +314,10 @@ def descend(
     per move, and yield only the moves that improve on their best so far,
     each of which goes to `trace`.  A scan runs its whole neighborhood
     unless the counter would reach `max_candidates` evaluations of this
-    call (adaptive's probe cap; an `int` of at least 1 when set) or the
-    run's `config.max_evaluations` within it: then this function, the one
-    place that decides where a scan stops, hands it a capped tick that
-    stops it at the move where that limit falls.
+    call (adaptive's probe cap) or the run's `config.max_evaluations`
+    within it: then this function, the one place that decides where a scan
+    stops, hands it a capped tick that stops it at the move where that
+    limit falls.
     The best improving candidate of a stopped scan is still accepted, so
     the returned sequence is always the best sequence evaluated.  The last
     scan yields nothing, so it runs to its stop or the neighborhood's end;
@@ -319,17 +327,12 @@ def descend(
     would take it below 0, so a faulty scan cannot make the descent run
     away.
     """
-    current, current_obj = tuple(start), start_objective
+    current, current_obj = start, start_objective
     first = config.descent_rule is DescentRule.FIRST_IMPROVEMENT
     tick = counter.tick
     entry = counter.count
     # One stop count per call; a limit that is not set is none.
-    cap = math.inf
-    if max_candidates is not None:
-        # True would run as a cap of 1, and a cap below 1 would scan nothing.
-        if type(max_candidates) is not int or max_candidates < 1:
-            _require_count(max_candidates=max_candidates)
-        cap = entry + max_candidates
+    cap = math.inf if max_candidates is None else entry + max_candidates
     stop = min(cap, config.max_evaluations or math.inf)
     p, w, d = instance.processing, instance.weight, instance.due
     n = len(current)
@@ -364,7 +367,7 @@ def descend(
                     tick if last == size else _capped(tick, last)):
                 # The run's best is never above the scan's, so only a scan
                 # improvement can be a new point of the trace.
-                trace.record_if_improved(counter, current_obj + c)
+                trace.record_if_improved(counter.count, current_obj + c)
                 best, limit[0] = (i, j), c
                 if first:
                     break
@@ -407,7 +410,7 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
     current = initial_sequence(instance, config, rng)
     current_obj = objective_value(instance, current)
     counter.tick()
-    trace.record_if_improved(counter, current_obj)
+    trace.record_if_improved(counter.count, current_obj)
 
     adaptive = probing = config.strategy is Strategy.ADAPTIVE
     remaining = list(CANONICAL_ORDER)
@@ -437,7 +440,7 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
                     k, instance.n, config.nested) > config.probe_budget]
                 continue
         elif config.strategy is Strategy.RANDOM:
-            kind = remaining[rng.randrange(len(remaining))]
+            kind = remaining[next(_randints(rng, 0, len(remaining) - 1, 1))]
         else:
             kind = remaining[0]
         res = descend(instance, current, kind, config, counter, trace,

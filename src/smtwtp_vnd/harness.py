@@ -44,6 +44,12 @@ class ExperimentSpec(RunSettings):
     best_known_file: Path | None = None
 
     def __post_init__(self):
+        # Tuples, as `BenchmarkSet` keeps its instances: the caller's list
+        # may change after this check, and a frozen spec is hashable.
+        object.__setattr__(self, "strategies", tuple(self.strategies))
+        if self.instance_indices is not None:
+            object.__setattr__(self, "instance_indices",
+                               tuple(self.instance_indices))
         _require_count(n=self.n, count=self.count,
                        replications=self.replications)
         if not self.strategies:

@@ -9,7 +9,7 @@ moves it accepts.  The closed-form sizes, the reference move definitions
 in the tests and the differential sweep pin the move code.
 """
 
-from .core import Instance, Sequence, _require, is_permutation
+from .core import Instance, Sequence, _require
 from .neighborhoods import Neighborhood, apply_move, enumerate_moves
 
 MAX_EXACT_N = 16
@@ -83,7 +83,9 @@ def certify_local_optimum(
     """
     _require(bool, nested=nested)
     n = instance.n
-    if not is_permutation(order, n):
+    # Each of 0..n-1 exactly once, each an `int` (`True` is not the job 1).
+    if (len(order) != n or any(type(j) is not int for j in order)
+            or sorted(order) != list(range(n))):
         raise ValueError("sequence is not a permutation of 0..n-1")
     base = _objective(instance, order)
     for kind in kinds:

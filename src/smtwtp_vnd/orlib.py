@@ -10,9 +10,9 @@ self-describing, so n and count are always explicit.
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
-from .core import Instance, _require, _require_count
+from .core import Instance, _randints, _require, _require_count
 
 
 class BenchmarkFormatError(ValueError):
@@ -122,16 +122,6 @@ def load_best_known(text: str, count: int) -> list[int]:
                 f"token {pos}: best-known value {value} is negative"
             )
     return values
-
-
-def _randints(rng: random.Random, lo: int, hi: int, n: int):
-    """`n` values of `rng.randint(lo, hi)`, from the same `getrandbits`
-    calls in the same order: each try takes `width.bit_length()` bits, and a
-    try at or above the width is drawn again.  That is how `randint` draws
-    on Python 3.10-3.12; here the loop runs in C."""
-    width = hi - lo + 1
-    tries = map(rng.getrandbits, repeat(width.bit_length()))
-    return map(lo.__add__, islice(filter(width.__gt__, tries), n))
 
 
 def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:

@@ -65,6 +65,21 @@ def exhaustive_objectives(instance: Instance) -> dict[tuple[int, ...], int]:
     }
 
 
+def rejection_randint(rng: random.Random, lo: int, hi: int,
+                      rejected: list | None = None) -> int:
+    """`rng.randint(lo, hi)` as Python 3.10-3.12 implement it: take the
+    width's bit length in bits and draw again while the result is at or
+    above the width.  Each rejected try goes to `rejected`, if given."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        if rejected is not None:
+            rejected.append(r)
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_instance(rng: random.Random, n: int) -> Instance:
     return Instance(
         processing=tuple(rng.randint(1, 20) for _ in range(n)),

@@ -57,7 +57,7 @@ def descend(
             # The run's best is never above the scan's, so only a scan
             # improvement can be a new point of the trace.
             if obj < best_obj:
-                trace.record_if_improved(counter, obj)
+                trace.record_if_improved(counter.count, obj)
                 best_obj, best_seq = obj, cand
                 if config.descent_rule is DescentRule.FIRST_IMPROVEMENT:
                     break

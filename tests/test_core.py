@@ -13,7 +13,6 @@ import smtwtp_vnd
 from smtwtp_vnd import (
     BenchmarkSet,
     DescentRule,
-    EvalCounter,
     ExperimentSpec,
     InitialOrder,
     Instance,
@@ -25,16 +24,16 @@ from smtwtp_vnd import (
     apply_move,
     brute_force_optimum,
     certify_local_optimum,
-    descend,
     enumerate_moves,
     generate_benchmark_set,
     generate_instance,
-    is_permutation,
     load_best_known,
     neighborhood_size,
     objective_value,
     parse_orlib,
 )
+from smtwtp_vnd.core import EvalCounter
+from smtwtp_vnd.engine import descend
 
 from .conftest import ref_objective, random_instance
 
@@ -106,35 +105,28 @@ def test_instance_is_immutable(tiny_instance):
         tiny_instance.processing = (1, 1, 1)
 
 
-def test_is_permutation():
-    assert is_permutation((2, 0, 1), 3)
-    assert not is_permutation((0, 1), 3)
-    assert not is_permutation((0, 0, 2), 3)
-
-
 def test_trace_records_first_point():
     trace = RunTrace()
-    counter = EvalCounter(count=1)
-    trace.record_if_improved(counter, 100)
+    trace.record_if_improved(1, 100)
     assert trace.points == [(1, 100)]
 
 
 def test_trace_ignores_non_improvement():
     trace = RunTrace(points=[(1, 100)])
-    trace.record_if_improved(EvalCounter(count=5), 100)
+    trace.record_if_improved(5, 100)
     assert trace.points == [(1, 100)]
 
 
 def test_trace_appends_strict_improvement():
     trace = RunTrace(points=[(1, 100)])
-    trace.record_if_improved(EvalCounter(count=5), 90)
+    trace.record_if_improved(5, 90)
     assert trace.points == [(1, 100), (5, 90)]
 
 
 def test_trace_guards_evaluation_monotonicity():
     trace = RunTrace(points=[(5, 100)])
     with pytest.raises(ValueError, match="already has a point"):
-        trace.record_if_improved(EvalCounter(count=5), 90)
+        trace.record_if_improved(5, 90)
 
 
 def test_the_package_imports_only_the_standard_library():
@@ -178,11 +170,6 @@ def config(**fields):
     return StrategyConfig(FIXED, **fields)
 
 
-def descent(cap):
-    return descend(TINY, (2, 1, 0), APEX, config(), EvalCounter(), RunTrace(),
-                   start_objective=8, max_candidates=cap)
-
-
 # Every size or count follows the one rule: each call passes the value as
 # the named size, which must be exactly an `int` (True would run as 1, and
 # a float is no count) and at least 1.
@@ -199,7 +186,6 @@ COUNTS = {
     ("config", "probe_budget"): lambda budget: config(probe_budget=budget),
     ("config", "max_evaluations"):
         lambda budget: config(max_evaluations=budget),
-    ("descend", "max_candidates"): descent,
     ("spec", "n"): lambda n: spec(n=n),
     ("spec", "count"): lambda count: spec(count=count),
     ("spec", "replications"): lambda count: spec(replications=count),
@@ -215,7 +201,6 @@ BAD_COUNTS = [(True, T, "{} must be int, got True"),
 # dict holding the keyword ones.  Types are checked before ranges, as the rows whose
 # call breaks both show.
 REFUSALS = {
-    is_permutation: [("n-bool", T, "n must be int, got True", (0,), True)],
     enumerate_moves: [
         ("nested-str", T, "nested must be bool, got 'off'", EX, 5, "off"),
         ("nested-int-n-0", T, "nested must be bool, got 1", EX, 0, 1),
@@ -250,6 +235,8 @@ REFUSALS = {
          TINY, (0, 1, 2), [EX], "off"),
         ("nested-none-short-order", T, "nested must be bool, got None",
          TINY, (0, 0), [EX], None),
+        ("short-order", V, "sequence is not a permutation of 0..n-1",
+         TINY, (0, 1), [EX], False),
         ("repeated-job", V, "sequence is not a permutation of 0..n-1",
          TINY, (0, 0, 2), [EX]),
         ("bool-job", V, "sequence is not a permutation of 0..n-1",
@@ -384,13 +371,15 @@ def test_value_survives_pickling(value):
     partial(generate_instance, 3, 1, 1, 0),
     partial(brute_force_optimum, Instance((1,) * 16, (1,) * 16, (99,) * 16)),
     partial(indices, 1, 2, count=2),
-    partial(descent, 1),
+    partial(descend, TINY, (2, 1, 0), APEX, config(), EvalCounter(),
+            RunTrace(), start_objective=8, max_candidates=1),
+    partial(certify_local_optimum, TINY, (2, 0, 1), [EX]),
     partial(config, probe_budget=1, max_evaluations=1),
     partial(parse_orlib, "3 1 2", 1, 1),
     partial(load_best_known, "0", 1),
     partial(enumerate_moves, EX, 1),
 ], ids=["tf-0", "tf-1", "int-rdd-tf", "brute-force-n-16", "indices-1-2-of-2",
-        "cap-1", "budget-1", "parse-n-1-count-1", "best-known-count-1",
-        "moves-n-1"])
+        "cap-1", "certify-permutation", "budget-1", "parse-n-1-count-1",
+        "best-known-count-1", "moves-n-1"])
 def test_accepted_edge(call):
     call()

@@ -1,13 +1,13 @@
 import functools
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 from smtwtp_vnd import (
     CANONICAL_ORDER,
-    EvalCounter,
     DescentRule,
     InitialOrder,
     Instance,
@@ -18,20 +18,22 @@ from smtwtp_vnd import (
     Termination,
     brute_force_optimum,
     certify_local_optimum,
-    descend,
     generate_benchmark_set,
     neighborhood_size,
     objective_value,
     run,
 )
 from smtwtp_vnd import engine
-from smtwtp_vnd.engine import initial_sequence
+from smtwtp_vnd.core import EvalCounter
+from smtwtp_vnd.engine import descend, initial_sequence
 from smtwtp_vnd.oracle import MAX_EXACT_N
 
 from . import reference_engine
-from .conftest import random_instance
+from .conftest import random_instance, rejection_randint
 
 FIXED_CFG = StrategyConfig(strategy=Strategy.FIXED)
+# Python versions whose `randrange` and `shuffle` draw as the engine does.
+STDLIB_DRAWS = (3, 10) <= sys.version_info[:2] <= (3, 12)
 
 
 def assert_valid_trace(trace: RunTrace):
@@ -146,13 +148,6 @@ def test_strategy_decides_neighborhood_order(tiny_instance, monkeypatch):
     assert calls == [(kind, None) for kind in canonical]
 
     calls.clear()
-    run(tiny_instance, StrategyConfig(strategy=Strategy.RANDOM, seed=8))
-    rng, remaining, drawn = random.Random(8), list(canonical), []
-    while remaining:
-        drawn.append(remaining.pop(rng.randrange(len(remaining))))
-    assert calls == [(kind, None) for kind in drawn]
-
-    calls.clear()
     run(tiny_instance, StrategyConfig(strategy=Strategy.ADAPTIVE,
                                       probe_budget=4))
     assert calls == [(kind, 4) for kind in canonical]
@@ -164,6 +159,55 @@ def test_strategy_decides_neighborhood_order(tiny_instance, monkeypatch):
                                       probe_budget=1))
     assert calls == [(kind, 1) for kind in canonical] + [
         (Neighborhood.APEX, None)]
+
+
+def test_the_random_pick_draws_by_the_rejection_loop(tiny_instance,
+                                                     monkeypatch):
+    # From the global optimum no descent improves, so a random run picks
+    # once from each of 7, 6, ..., 1 eligible neighborhoods.
+    calls = []
+    original = engine.descend
+
+    def recording_descend(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "descend", recording_descend)
+    rejected = []
+    for seed in range(50):
+        calls.clear()
+        run(tiny_instance, StrategyConfig(strategy=Strategy.RANDOM, seed=seed))
+        rng, remaining, drawn = random.Random(seed), list(CANONICAL_ORDER), []
+        stdlib, left = random.Random(seed), list(CANONICAL_ORDER)
+        while remaining:
+            drawn.append(remaining.pop(
+                rejection_randint(rng, 0, len(remaining) - 1, rejected)))
+            if STDLIB_DRAWS:
+                assert drawn[-1] == left.pop(stdlib.randrange(len(left)))
+        assert calls == drawn
+    assert rejected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 30, 100])
+def test_a_random_initial_order_draws_as_fisher_yates(n):
+    # `shuffle`'s order: i from n - 1 down to 1, each swapped with a j drawn
+    # below i + 1; the same generator calls, so the same state after.
+    inst = Instance((1,) * n, (1,) * n, (0,) * n)
+    config = StrategyConfig(Strategy.FIXED, initial=InitialOrder.RANDOM)
+    rejected = []
+    for seed in range(50):
+        rng, reference = random.Random(seed), random.Random(seed)
+        order = list(range(n))
+        for i in reversed(range(1, n)):
+            j = rejection_randint(reference, 0, i, rejected)
+            order[i], order[j] = order[j], order[i]
+        assert initial_sequence(inst, config, rng) == tuple(order)
+        assert rng.getstate() == reference.getstate()
+        if STDLIB_DRAWS:
+            shuffled = list(range(n))
+            random.Random(seed).shuffle(shuffled)
+            assert shuffled == order
+    assert bool(rejected) == (n > 1)
 
 
 def test_initial_sequence_constructions():
@@ -228,7 +272,7 @@ def test_adaptive_matches_reference_orchestration():
         current = tuple(range(inst.n))
         current_obj = objective_value(inst, current)
         counter.tick()
-        trace.record_if_improved(counter, current_obj)
+        trace.record_if_improved(counter.count, current_obj)
         while True:
             probes = []
             for kind in CANONICAL_ORDER:
@@ -282,7 +326,7 @@ def test_fixed_matches_classical_vnd():
         current = tuple(range(inst.n))
         current_obj = objective_value(inst, current)
         counter.tick()
-        trace.record_if_improved(counter, current_obj)
+        trace.record_if_improved(counter.count, current_obj)
         improved = True
         while improved:
             for kind in CANONICAL_ORDER:

@@ -213,6 +213,24 @@ def test_experiment_on_tiny_instance(tmp_path):
     assert reparsed.points == output.results[key].trace.points
 
 
+def test_spec_keeps_its_own_tuples(tmp_path):
+    # A caller's lists, changed after the spec checked them, change nothing.
+    (tmp_path / "two.txt").write_text(TINY_TEXT + "  1 1 1  1 1 1  0 0 0")
+    indices, strategies = [1], [Strategy.FIXED]
+    spec = make_spec(tmp_path, instance_file=tmp_path / "two.txt", count=2,
+                     instance_indices=indices, strategies=strategies)
+    indices[0] = 0
+    strategies.append(Strategy.FIXED)
+    assert spec.instance_indices == (1,)
+    assert spec.strategies == (Strategy.FIXED,)
+    assert hash(spec) == hash(make_spec(
+        tmp_path, instance_file=tmp_path / "two.txt", count=2,
+        instance_indices=(1,), strategies=(Strategy.FIXED,)))
+    output = run_experiment(spec)
+    assert list(output.trace_files) == [(1, "fixed", 0)]
+    assert output.results[1, "fixed", 0].best_objective == 5
+
+
 def test_experiment_replications_use_consecutive_seeds(tmp_path):
     spec = make_spec(
         tmp_path, strategies=(Strategy.FIXED,), replications=2, seed=5

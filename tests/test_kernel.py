@@ -9,7 +9,6 @@ import random
 import pytest
 
 from smtwtp_vnd import (
-    EvalCounter,
     Instance,
     Neighborhood,
     RunTrace,
@@ -20,6 +19,7 @@ from smtwtp_vnd import (
     objective_value,
 )
 from smtwtp_vnd import engine
+from smtwtp_vnd.core import EvalCounter
 
 from .conftest import random_instance
 

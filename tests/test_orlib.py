@@ -18,6 +18,8 @@ from smtwtp_vnd import (
 )
 from smtwtp_vnd.orlib import parse_int
 
+from .conftest import rejection_randint
+
 
 def test_parse_single_instance():
     benchmark = parse_orlib("3 1 2  2 1 1  2 4 3", n=3, count=1)
@@ -188,18 +190,6 @@ def test_generate_benchmark_set_shape():
     assert all(inst.n == 4 for inst in benchmark.instances)
     again = generate_benchmark_set(n=4, seed=100)
     assert again.instances == benchmark.instances
-
-
-def rejection_randint(rng, lo, hi):
-    """`rng.randint(lo, hi)` as Python 3.10-3.12 implement it: take the
-    width's bit length in bits and draw again while the result is at or
-    above the width."""
-    width = hi - lo + 1
-    k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return lo + r
 
 
 def reference_instance(n, seed, rdd, tf, randint=rejection_randint):
