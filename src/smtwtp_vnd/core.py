@@ -111,12 +111,22 @@ def _require_count(**values) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _below(rng: random.Random, m: int) -> int:
+    """One value of `rng.randrange(m)`, from the same `getrandbits` calls:
+    each try takes `m.bit_length()` bits, and a try at or above `m` is drawn
+    again.  That is how `randint`, `randrange` and `shuffle` draw on Python
+    3.10-3.12, whose `random` docs promise only `random()`'s sequence across
+    versions."""
+    k = m.bit_length()
+    r = rng.getrandbits(k)
+    while r >= m:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _randints(rng: random.Random, lo: int, hi: int, n: int):
-    """`n` values of `rng.randint(lo, hi)`, from the same `getrandbits`
-    calls in the same order: each try takes `width.bit_length()` bits, and a
-    try at or above the width is drawn again.  That is how `randint`,
-    `randrange` and `shuffle` draw on Python 3.10-3.12, whose `random` docs
-    promise only `random()`'s sequence across versions; here the loop runs
+    """`n` values of `lo + _below(rng, hi - lo + 1)`, from the same
+    `getrandbits` calls in the same order; for bulk draws, as the loop runs
     in C."""
     width = hi - lo + 1
     tries = map(rng.getrandbits, repeat(width.bit_length()))

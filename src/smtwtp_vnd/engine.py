@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import accumulate, repeat
 from typing import NamedTuple, get_args
 
-from .core import (EvalCounter, Instance, RunTrace, Sequence, _randints,
+from .core import (EvalCounter, Instance, RunTrace, Sequence, _below,
                    _require_count, objective_value)
 # enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
@@ -131,7 +131,7 @@ def initial_sequence(instance: Instance, config: StrategyConfig,
     # Fisher-Yates in `shuffle`'s order, each j drawn below i + 1.
     order = list(range(n))
     for i in reversed(range(1, n)):
-        j = next(_randints(rng, 0, i, 1))
+        j = _below(rng, i + 1)
         order[i], order[j] = order[j], order[i]
     return tuple(order)
 
@@ -440,7 +440,7 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
                     k, instance.n, config.nested) > config.probe_budget]
                 continue
         elif config.strategy is Strategy.RANDOM:
-            kind = remaining[next(_randints(rng, 0, len(remaining) - 1, 1))]
+            kind = remaining[_below(rng, len(remaining))]
         else:
             kind = remaining[0]
         res = descend(instance, current, kind, config, counter, trace,

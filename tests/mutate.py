@@ -1,7 +1,7 @@
 """Mutation gate: every listed mutant of the package must fail tier 1,
 unless it is listed as equivalent, and then it must pass.
 
-    python -m tests.mutate [ID ...]
+    python -m tests.mutate
 
 Each mutant is a file, an exact old text, a new text and a verdict:
 `killed`, or `equivalent: <one-line reason>`.  Every old text must occur
@@ -9,11 +9,10 @@ exactly once in this tree, or the list is stale and nothing runs.  The
 unchanged tree runs first, and must pass.  Then each mutant, one at a time,
 gets a fresh temporary copy of `src`, `tests`, `bench` (without
 `bench/out/`), `pyproject.toml` and `README.md`, its one replacement, and a
-run of the tier-1 command with `-x` under a time limit for the whole run
-(without `tests/test_mutate.py`, the list check made here first).
-A run that fails or times out kills its mutant.  Given IDs, only those
-mutants run.  Exits non-zero when a `killed` mutant survives, an
-`equivalent` one is killed, or the list is stale.  Standard library only.
+run of the tier-1 command with `-x` under a time limit for the whole run.
+A run that fails or times out kills its mutant.  Exits non-zero when a
+`killed` mutant survives, an `equivalent` one is killed, or the list is
+stale.  Standard library only.
 """
 
 import os
@@ -29,11 +28,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md")
-# A mutant's copy no longer holds its own old text, so the list check of
-# tests/test_mutate.py, which this tool makes before any child runs, would
-# kill every mutant there.
-TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-         "--ignore=tests/test_mutate.py")
+TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors")
 # Tier 1 takes about 10 s on a 2-CPU host; the limit is for the whole run.
 TIME_LIMIT = 300
 
@@ -73,14 +68,15 @@ MUTANTS = [
            "pass", KILLED),
     # The random draws.
     Mutant("F1 Fisher-Yates draws below i, not i + 1", ENGINE,
-           "j = next(_randints(rng, 0, i, 1))",
-           "j = next(_randints(rng, 0, i - 1, 1))", KILLED),
+           "j = _below(rng, i + 1)", "j = _below(rng, i)", KILLED),
     Mutant("F2 the random pick counts from the end", ENGINE,
-           "kind = remaining[next(_randints(",
-           "kind = remaining[-1 - next(_randints(", KILLED),
-    Mutant("F3 a draw may equal the width", CORE,
+           "kind = remaining[_below(", "kind = remaining[-1 - _below(",
+           KILLED),
+    Mutant("F3 a bulk draw may equal the width", CORE,
            "filter(width.__gt__, tries)", "filter(width.__ge__, tries)",
            KILLED),
+    Mutant("F4 a one-shot draw may equal its bound", CORE,
+           "while r >= m:", "while r > m:", KILLED),
     # The one stop rule.
     Mutant("M1 the cap falls one move late", ENGINE,
            "_capped(tick, last)):", "_capped(tick, last + 1)):", KILLED),
@@ -133,14 +129,14 @@ MUTANTS = [
 ]
 
 
-def stale(mutants) -> list[str]:
+def stale() -> list[str]:
     """A line for each mutant whose verdict is malformed or whose old text
     does not occur exactly once."""
     problems = []
-    ids = [m.id.split()[0] for m in mutants]
+    ids = [m.id.split()[0] for m in MUTANTS]
     problems += [f"{id}: listed twice" for id in sorted(set(ids))
                  if ids.count(id) > 1]
-    for m in mutants:
+    for m in MUTANTS:
         if not (m.verdict == KILLED
                 or re.fullmatch(r"equivalent: \S.*", m.verdict)):
             problems.append(f"{m.id}: verdict {m.verdict!r}")
@@ -191,13 +187,8 @@ def tier1(mutant: Mutant | None) -> tuple[bool, str]:
     return False, (failures or [f"exit code {child.returncode}"])[0]
 
 
-def main(argv=None) -> int:
-    wanted = set(sys.argv[1:] if argv is None else argv)
-    mutants = [m for m in MUTANTS if not wanted or m.id.split()[0] in wanted]
-    unknown = wanted - {m.id.split()[0] for m in MUTANTS}
-    if unknown:
-        sys.exit(f"unknown mutant ids: {', '.join(sorted(unknown))}")
-    problems = stale(mutants)
+def main() -> int:
+    problems = stale()
     if problems:
         print("stale mutant list:", *problems, sep="\n  ")
         return 1
@@ -206,7 +197,7 @@ def main(argv=None) -> int:
         print(f"the unchanged tree fails tier 1: {why}")
         return 1
     wrong = 0
-    for m in mutants:
+    for m in MUTANTS:
         started = time.perf_counter()
         survived, why = tier1(m)
         expected = m.verdict != KILLED
@@ -214,7 +205,7 @@ def main(argv=None) -> int:
         outcome = "survived" if survived else f"killed by {why}"
         print(f"{'ok  ' if survived == expected else 'FAIL'} {m.id}: "
               f"{outcome} ({time.perf_counter() - started:.1f} s)", flush=True)
-    print(f"{len(mutants) - wrong} of {len(mutants)} mutants as listed")
+    print(f"{len(MUTANTS) - wrong} of {len(MUTANTS)} mutants as listed")
     return 1 if wrong else 0
 
 
