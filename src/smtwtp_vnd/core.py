@@ -7,7 +7,6 @@ API; 1-based indices appear only in user-facing output.
 
 import random
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 
 Sequence = tuple[int, ...]
 """A processing order: a permutation of the job indices 0..n-1."""
@@ -93,13 +92,14 @@ class RunTrace:
         self.points.append((evaluations, objective))
 
 
-def _require(kind: type, **values) -> None:
-    """Raise TypeError naming the first of `values` that is not exactly a
-    `kind`: `bool` is an `int` subclass but not a size, and a string or a
-    number has a truth value but is not a flag."""
+def _require(*kinds: type, **values) -> None:
+    """Raise TypeError naming the first of `values` whose type is not
+    exactly one of `kinds`: `bool` is an `int` subclass but not a size, and
+    a string or a number has a truth value but is not a flag."""
     for name, value in values.items():
-        if type(value) is not kind:
-            raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+        if type(value) not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise TypeError(f"{name} must be {names}, got {value!r}")
 
 
 def _require_count(**values) -> None:
@@ -111,26 +111,26 @@ def _require_count(**values) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _require_seed(seed: int) -> None:
+    """Raise ValueError for a seed below 0, once its type is checked:
+    `random.Random(-s)` seeds as `Random(s)` does, so a negative seed would
+    repeat another seed's stream."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _below(rng: random.Random, m: int) -> int:
-    """One value of `rng.randrange(m)`, from the same `getrandbits` calls:
-    each try takes `m.bit_length()` bits, and a try at or above `m` is drawn
-    again.  That is how `randint`, `randrange` and `shuffle` draw on Python
-    3.10-3.12, whose `random` docs promise only `random()`'s sequence across
-    versions."""
+    """One value of `rng.randrange(m)`, for `m >= 1`, from the same
+    `getrandbits` calls: each try takes `m.bit_length()` bits, and a try at
+    or above `m` is drawn again.  That is how `randint`, `randrange` and
+    `shuffle` draw on Python 3.10-3.12, whose `random` docs promise only
+    `random()`'s sequence across versions.  Every random integer of the
+    package is drawn here."""
     k = m.bit_length()
     r = rng.getrandbits(k)
     while r >= m:
         r = rng.getrandbits(k)
     return r
-
-
-def _randints(rng: random.Random, lo: int, hi: int, n: int):
-    """`n` values of `lo + _below(rng, hi - lo + 1)`, from the same
-    `getrandbits` calls in the same order; for bulk draws, as the loop runs
-    in C."""
-    width = hi - lo + 1
-    tries = map(rng.getrandbits, repeat(width.bit_length()))
-    return map(lo.__add__, islice(filter(width.__gt__, tries), n))
 
 
 def objective_value(instance: Instance, order: Sequence) -> int:

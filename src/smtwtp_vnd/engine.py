@@ -31,7 +31,7 @@ from itertools import accumulate, repeat
 from typing import NamedTuple, get_args
 
 from .core import (EvalCounter, Instance, RunTrace, Sequence, _below,
-                   _require_count, objective_value)
+                   _require_count, _require_seed, objective_value)
 # enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
     _BLOCK_LENGTH,
@@ -93,6 +93,7 @@ class StrategyConfig(RunSettings):
                 raise TypeError(f"{name} must be {kinds[0].__name__}, "
                                 f"got {value!r}")
         _require_count(probe_budget=self.probe_budget)
+        _require_seed(self.seed)
         if self.max_evaluations is not None:
             _require_count(max_evaluations=self.max_evaluations)
 

@@ -10,9 +10,8 @@ self-describing, so n and count are always explicit.
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
-from .core import Instance, _randints, _require, _require_count
+from .core import Instance, _below, _require, _require_count, _require_seed
 
 
 class BenchmarkFormatError(ValueError):
@@ -135,23 +134,23 @@ def generate_instance(n: int, seed: int, rdd: float, tf: float) -> Instance:
     (n, seed, rdd, tf) always yields the same instance.
     """
     _require(int, seed=seed)
+    _require(int, float, rdd=rdd, tf=tf)  # `True` is no fraction
     _require_count(n=n)
-    for name, value in (("rdd", rdd), ("tf", tf)):
-        if type(value) not in (int, float):  # `True` is no fraction
-            raise TypeError(f"{name} must be int or float, got {value!r}")
+    _require_seed(seed)
     if not 0 < rdd <= 1:
         raise ValueError("rdd must be in (0, 1]")
     if not 0 <= tf <= 1:
         raise ValueError("tf must be in [0, 1]")
     rng = random.Random(seed)
-    processing = tuple(_randints(rng, 1, 100, n))
-    weight = tuple(_randints(rng, 1, 10, n))
+    processing = tuple([1 + _below(rng, 100) for _ in range(n)])
+    weight = tuple([1 + _below(rng, 10) for _ in range(n)])
     total = sum(processing)
     lo = math.ceil(total * (1 - tf - rdd / 2))
     hi = math.floor(total * (1 - tf + rdd / 2))
     if hi < lo:  # window narrower than one integer
         lo = hi
-    due = tuple(map(max, repeat(0), _randints(rng, lo, hi, n)))
+    width = hi - lo + 1
+    due = tuple([max(0, lo + _below(rng, width)) for _ in range(n)])
     return Instance(processing, weight, due)
 
 

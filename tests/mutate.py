@@ -35,6 +35,7 @@ TIME_LIMIT = 300
 ENGINE = "src/smtwtp_vnd/engine.py"
 CORE = "src/smtwtp_vnd/core.py"
 HARNESS = "src/smtwtp_vnd/harness.py"
+NEIGHBORHOODS = "src/smtwtp_vnd/neighborhoods.py"
 ORACLE = "src/smtwtp_vnd/oracle.py"
 ORLIB = "src/smtwtp_vnd/orlib.py"
 KILLED = "killed"
@@ -72,11 +73,12 @@ MUTANTS = [
     Mutant("F2 the random pick counts from the end", ENGINE,
            "kind = remaining[_below(", "kind = remaining[-1 - _below(",
            KILLED),
-    Mutant("F3 a bulk draw may equal the width", CORE,
-           "filter(width.__gt__, tries)", "filter(width.__ge__, tries)",
-           KILLED),
-    Mutant("F4 a one-shot draw may equal its bound", CORE,
+    Mutant("F3 the generator draws weights below 9, not 10", ORLIB,
+           "1 + _below(rng, 10) for", "1 + _below(rng, 9) for", KILLED),
+    Mutant("F4 a draw may equal its bound", CORE,
            "while r >= m:", "while r > m:", KILLED),
+    Mutant("F5 the seed floor lets -1 through", CORE,
+           "if seed < 0:", "if seed < -1:", KILLED),
     # The one stop rule.
     Mutant("M1 the cap falls one move late", ENGINE,
            "_capped(tick, last)):", "_capped(tick, last + 1)):", KILLED),
@@ -126,6 +128,49 @@ MUTANTS = [
     Mutant("K8 config drops max_evaluations", HARNESS,
            "for name in _SETTINGS}",
            'for name in _SETTINGS if name != "max_evaluations"}', KILLED),
+    # The move model.
+    Mutant("N1 a reversal block never starts at the last position",
+           NEIGHBORHOODS, "range(n - k + 1))", "range(n - k))", KILLED),
+    Mutant("N2 EX and FSH never reach the last position", NEIGHBORHOODS,
+           "for j in range(i + gap, n)", "for j in range(i + gap, n - 1)",
+           KILLED),
+    Mutant("N3 BSH never reaches its widest move", NEIGHBORHOODS,
+           "for j in range(i - gap + 1)", "for j in range(i - gap)", KILLED),
+    Mutant("N4 nesting swapped", NEIGHBORHOODS,
+           "gap = 1 if nested else 2", "gap = 2 if nested else 1", KILLED),
+    Mutant("N5 the nested size counts n more", NEIGHBORHOODS,
+           "n * (n - 1) // 2 if nested", "n * (n + 1) // 2 if nested",
+           KILLED),
+    Mutant("N6 the size without nesting is wrong", NEIGHBORHOODS,
+           "(n - 1) * (n - 2) // 2", "(n - 1) * (n - 3) // 2", KILLED),
+    Mutant("N7 a reversal's size counts one block fewer", NEIGHBORHOODS,
+           "return max(0, n - k + 1)", "return max(0, n - k)", KILLED),
+    Mutant("N8 a reversal keeps its block", NEIGHBORHOODS,
+           "order[i:j + 1][::-1]", "order[i:j + 1]", KILLED),
+    Mutant("N9 an exchange keeps its jobs", NEIGHBORHOODS,
+           "lst[i], lst[j] = lst[j], lst[i]",
+           "lst[i], lst[j] = lst[i], lst[j]", KILLED),
+    Mutant("N10 a shift moves the wrong way", NEIGHBORHOODS,
+           "lst.insert(j, lst.pop(i))", "lst.insert(i, lst.pop(j))", KILLED),
+    Mutant("N11 EX and FSH take i == j", NEIGHBORHOODS,
+           "valid = 0 <= i < j < n", "valid = 0 <= i <= j < n", KILLED),
+    Mutant("N12 BSH moves in descending order", NEIGHBORHOODS,
+           "for j in range(i - gap + 1)",
+           "for j in reversed(range(i - gap + 1))", KILLED),
+    Mutant("N13 BR5 reverses blocks of 4", NEIGHBORHOODS,
+           "Neighborhood.BR5: 5", "Neighborhood.BR5: 4", KILLED),
+    Mutant("N14 neighborhood_size takes an unknown kind", NEIGHBORHOODS,
+           "    if kind not in CANONICAL_ORDER:", "    if False:", KILLED),
+    Mutant("N15 a reversal block may end at n", NEIGHBORHOODS,
+           "j == i + k - 1 < n", "j == i + k - 1 <= n", KILLED),
+    Mutant("N16 BSH takes i == j", NEIGHBORHOODS,
+           "valid = 0 <= j < i < n", "valid = 0 <= j <= i < n", KILLED),
+    Mutant("N17 a reversal may start at -1", NEIGHBORHOODS,
+           "valid = 0 <= i and", "valid = -1 <= i and", KILLED),
+    Mutant("N18 EX and FSH may start at -1", NEIGHBORHOODS,
+           "valid = 0 <= i < j < n", "valid = -1 <= i < j < n", KILLED),
+    Mutant("N19 BSH may end at -1", NEIGHBORHOODS,
+           "valid = 0 <= j < i < n", "valid = -1 <= j < i < n", KILLED),
 ]
 
 

@@ -174,6 +174,8 @@ COUNT_FIELDS = {"--n": "n", "--count": "count",
             "--count", "2", "--index", "2,1,2"),
     *(refused(f"{field} must be >= 1, got 0", flag, "0")
       for flag, field in COUNT_FIELDS.items()),
+    # `random.Random(-1)` seeds as `Random(1)` does.
+    refused("seed must be >= 0, got -1", "--seed", "-1"),
     # `1_0` is not 10: integer flags take the benchmark files' token rule.
     *(refused(f"argument {flag}: invalid parse_int value: '1_0'", flag, "1_0")
       for flag in COUNT_FIELDS),

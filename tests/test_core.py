@@ -253,6 +253,8 @@ REFUSALS = {
     ],
     generate_benchmark_set: [
         ("seed-bool", T, "seed must be int, got True", 3, True),
+        # Instances 3 and 5 would take seeds -1 and 1, one stream.
+        ("seed-negative", V, "seed must be >= 0, got -3", 5, -3),
         ("replicates-float-n-0", T, "replicates must be int, got 1.0",
          0, 1, {"replicates": 1.0}),
         ("n-0-replicates-0", V, "n must be >= 1, got 0",
@@ -269,6 +271,11 @@ REFUSALS = {
         ("n-float-rdd-2", T, "n must be int, got 2.0", 2.0, 1, 2, 0.4),
         ("seed-float", T, "seed must be int, got 2.5", 3, 2.5, 0.6, 0.4),
         ("seed-str", T, "seed must be int, got '1'", 3, "1", 0.6, 0.4),
+        # `random.Random(-s)` seeds as `Random(s)` does.
+        ("seed-negative", V, "seed must be >= 0, got -1", 3, -1, 0.6, 0.4),
+        ("seed-negative-7", V, "seed must be >= 0, got -7", 5, -7, 0.5, 0.5),
+        ("n-0-rdd-bool", T, "rdd must be int or float, got True",
+         0, 1, True, 0.5),
         ("rdd-0", V, "rdd must be in (0, 1]", 3, 1, 0.0, 0.5),
         ("rdd-above-1", V, "rdd must be in (0, 1]", 3, 1, 1.1, 0.5),
         ("tf-negative", V, "tf must be in [0, 1]", 3, 1, 0.5, -0.1),
@@ -299,6 +306,10 @@ REFUSALS = {
         ("nested-int", T, "nested must be bool, got 1", {"nested": 1}),
         ("seed-bool", T, "seed must be int, got True", {"seed": True}),
         ("seed-str", T, "seed must be int, got '1'", {"seed": "1"}),
+        ("seed-negative", V, "seed must be >= 0, got -1", {"seed": -1}),
+    ],
+    spec: [
+        ("seed-negative", V, "seed must be >= 0, got -1", {"seed": -1}),
     ],
     indices: [
         ("bool", T, "instance_indices must be int, got True", True),
