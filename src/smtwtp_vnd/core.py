@@ -95,10 +95,13 @@ class RunTrace:
 def _require(*kinds: type, **values) -> None:
     """Raise TypeError naming the first of `values` whose type is not
     exactly one of `kinds`: `bool` is an `int` subclass but not a size, and
-    a string or a number has a truth value but is not a flag."""
+    a string or a number has a truth value but is not a flag.  `NoneType`
+    may be one of `kinds`, for an optional value; the message does not name
+    it, so an `int | None` value "must be int"."""
     for name, value in values.items():
         if type(value) not in kinds:
-            names = " or ".join(kind.__name__ for kind in kinds)
+            names = " or ".join(kind.__name__ for kind in kinds
+                                if kind is not type(None))
             raise TypeError(f"{name} must be {names}, got {value!r}")
 
 
@@ -123,7 +126,7 @@ def _below(rng: random.Random, m: int) -> int:
     """One value of `rng.randrange(m)`, for `m >= 1`, from the same
     `getrandbits` calls: each try takes `m.bit_length()` bits, and a try at
     or above `m` is drawn again.  That is how `randint`, `randrange` and
-    `shuffle` draw on Python 3.10-3.12, whose `random` docs promise only
+    `shuffle` draw on Python 3.10-3.13, whose `random` docs promise only
     `random()`'s sequence across versions.  Every random integer of the
     package is drawn here."""
     k = m.bit_length()

@@ -31,7 +31,7 @@ from itertools import accumulate, repeat
 from typing import NamedTuple, get_args
 
 from .core import (EvalCounter, Instance, RunTrace, Sequence, _below,
-                   _require_count, _require_seed, objective_value)
+                   _require, _require_count, _require_seed, objective_value)
 # enumerate_moves is unused, but bench/tracing.py wraps all three names here.
 from .neighborhoods import (
     _BLOCK_LENGTH,
@@ -87,11 +87,7 @@ class StrategyConfig(RunSettings):
 
     def __post_init__(self):
         for name, kinds in _FIELD_TYPES:
-            # Exact types: `bool` is an `int` subclass, not a count or seed.
-            value = getattr(self, name)
-            if type(value) not in kinds:
-                raise TypeError(f"{name} must be {kinds[0].__name__}, "
-                                f"got {value!r}")
+            _require(*kinds, **{name: getattr(self, name)})
         _require_count(probe_budget=self.probe_budget)
         _require_seed(self.seed)
         if self.max_evaluations is not None:
@@ -99,8 +95,7 @@ class StrategyConfig(RunSettings):
 
 
 # Each field's name and types, taken once (`get_args` would take half of a
-# config's time): the strategy, the one positional field, first.  A field of
-# `int | None` is named by its first type, int.
+# config's time): the strategy, the one positional field, first.
 *_settings, _strategy = fields(StrategyConfig)
 _FIELD_TYPES = [(f.name, get_args(f.type) or (f.type,))
                 for f in (_strategy, *_settings)]

@@ -209,10 +209,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     seeds = range(spec.seed, spec.seed + spec.replications)
     strategies = [s for s in Strategy if s in spec.strategies]
 
-    # The plan, made before any cell runs: each cell's strategy, in
-    # canonical order, and every path the run writes.
+    # The plan, made before any cell runs: each cell's config, in canonical
+    # strategy order, and every path the run writes.  A config is frozen, so
+    # the cells of one (strategy, seed) share it.
     out_dir = Path(spec.out_dir)
-    cells = {(idx, s.value, seed): s
+    configs = {(s, seed): spec.config(s, seed)
+               for seed in seeds for s in strategies}
+    cells = {(idx, s.value, seed): configs[s, seed]
              for idx in indices for seed in seeds for s in strategies}
     trace_files = {key: out_dir / "trace_i{:03d}_{}_s{}.csv".format(*key)
                    for key in cells}
@@ -234,11 +237,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
 
     results: dict[tuple[int, str, int], RunResult] = {}
     wall_seconds = {}
-    for key, strategy in cells.items():
-        idx, _, seed = key
+    for key, config in cells.items():
         started = time.perf_counter()
-        results[key] = run(benchmark.instances[idx - 1],
-                           spec.config(strategy, seed))
+        results[key] = run(benchmark.instances[key[0] - 1], config)
         wall_seconds[key] = time.perf_counter() - started
         write_trace_csv(trace_files[key], results[key].trace)
 

@@ -58,6 +58,16 @@ MUTANTS = [
            "if evaluations <= last_evals:", "if False:", KILLED),
     Mutant("T2 record_if_improved records a tie", CORE,
            "if objective >= last_best:", "if objective > last_best:", KILLED),
+    # One exact-type rule, and one config per (strategy, seed).
+    Mutant("T3 _require names NoneType", CORE,
+           "kind.__name__ for kind in kinds\n"
+           "                                if kind is not type(None))",
+           "kind.__name__ for kind in kinds)", KILLED),
+    Mutant("T4 the last field, initial, is not checked", ENGINE,
+           "for name, kinds in _FIELD_TYPES:",
+           "for name, kinds in _FIELD_TYPES[:-1]:", KILLED),
+    Mutant("C1 every replication runs the first seed's config", HARNESS,
+           "configs[s, seed]\n", "configs[s, spec.seed]\n", KILLED),
     Mutant("O1 the oracle's permutation check without its sort", ORACLE,
            "\n            or sorted(order) != list(range(n))):", "):", KILLED),
     Mutant("E1 ExperimentSpec keeps a list of indices", HARNESS,
@@ -67,6 +77,29 @@ MUTANTS = [
     Mutant("E2 ExperimentSpec keeps a list of strategies", HARNESS,
            'object.__setattr__(self, "strategies", tuple(self.strategies))',
            "pass", KILLED),
+    # The exact oracle: Held and Karp's subset DP.
+    Mutant("P1 the oracle keeps the last optimal next job", ORACLE,
+           "cost < best:", "cost <= best:", KILLED),
+    Mutant("P2 the DP skips the empty set", ORACLE,
+           "range(full - 1, -1, -1)", "range(full - 1, 0, -1)", KILLED),
+    Mutant("P3 the DP starts at the full set", ORACLE,
+           "range(full - 1, -1, -1)", "range(full, -1, -1)", KILLED),
+    Mutant("P4 the oracle's limit is 15", ORACLE,
+           "MAX_EXACT_N = 16", "MAX_EXACT_N = 15", KILLED),
+    Mutant("P5 P(S) is built from the lowest job alone", ORACLE,
+           "end[s ^ low]", "end[s & -s]", KILLED),
+    Mutant("P6 a next job ends where S ends", ORACLE,
+           "late = end[s | bit] - d[j]", "late = end[s] - d[j]", KILLED),
+    # The generator's rdd and tf types.
+    Mutant("G1 rdd and tf are not type checked", ORLIB,
+           "    _require(int, float, rdd=rdd, tf=tf)  # `True` is no fraction\n",
+           "", KILLED),
+    Mutant("G2 an int rdd or tf is refused", ORLIB,
+           "_require(int, float, rdd=rdd, tf=tf)",
+           "_require(float, rdd=rdd, tf=tf)", KILLED),
+    Mutant("G3 tf is not type checked", ORLIB,
+           "_require(int, float, rdd=rdd, tf=tf)",
+           "_require(int, float, rdd=rdd)", KILLED),
     # The random draws.
     Mutant("F1 Fisher-Yates draws below i, not i + 1", ENGINE,
            "j = _below(rng, i + 1)", "j = _below(rng, i)", KILLED),
@@ -171,6 +204,15 @@ MUTANTS = [
            "valid = 0 <= i < j < n", "valid = -1 <= i < j < n", KILLED),
     Mutant("N19 BSH may end at -1", NEIGHBORHOODS,
            "valid = 0 <= j < i < n", "valid = -1 <= j < i < n", KILLED),
+    Mutant("A1 apply_move takes any position type", NEIGHBORHOODS,
+           "    if type(i) is not int or type(j) is not int:\n"
+           "        _require(int, i=i, j=j)\n", "", KILLED),
+    Mutant("A2 apply_move checks only i's type", NEIGHBORHOODS,
+           "if type(i) is not int or type(j) is not int:",
+           "if type(i) is not int:", KILLED),
+    Mutant("A3 apply_move checks only j's type", NEIGHBORHOODS,
+           "if type(i) is not int or type(j) is not int:",
+           "if type(j) is not int:", KILLED),
 ]
 
 

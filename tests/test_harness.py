@@ -244,6 +244,35 @@ def test_experiment_replications_use_consecutive_seeds(tmp_path):
     assert first == second
 
 
+def test_experiment_builds_one_config_per_strategy_and_seed(tmp_path,
+                                                            monkeypatch):
+    instances = tmp_path / "two.txt"
+    instances.write_text(TINY_TEXT + "  2 5 1  1 3 2  4 1 6")
+    spec = make_spec(tmp_path, instance_file=instances, count=2,
+                     strategies=(Strategy.ADAPTIVE, Strategy.RANDOM),
+                     replications=3, seed=4)
+    spec_config, built = ExperimentSpec.config, []
+
+    def counted_config(self, strategy, seed):
+        built.append((strategy, seed))
+        return spec_config(self, strategy, seed)
+
+    harness_run, ran = harness.run, []
+
+    def recorded_run(instance, config):
+        ran.append((config.strategy, config.seed))
+        return harness_run(instance, config)
+
+    monkeypatch.setattr(ExperimentSpec, "config", counted_config)
+    monkeypatch.setattr(harness, "run", recorded_run)
+    output = run_experiment(spec)
+    pairs = [(s, seed) for seed in (4, 5, 6)
+             for s in (Strategy.RANDOM, Strategy.ADAPTIVE)]
+    assert sorted(built, key=pairs.index) == pairs
+    assert ran == [(Strategy(label), seed)
+                   for _, label, seed in output.results]
+
+
 def test_experiment_emits_crossover_for_multiple_strategies(tmp_path):
     spec = make_spec(tmp_path)
     output = run_experiment(spec)
