@@ -148,22 +148,43 @@ def format_gap(final_objective: int, best_known: int | None) -> str:
     return f"{sign}{scaled // 10000}.{scaled % 10000:04d}"
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_lines(path: Path, lines: list[str],
+                 written: dict[str, Path] | None = None) -> None:
     """Write `lines` to `path` through a temporary file, so `path` holds the
     old or the new content, never part of it.  If the write or the rename
-    fails, or is interrupted, the temporary file is removed."""
+    fails, or is interrupted, the temporary file is removed.
+
+    `written`, when given, maps each text written so far to the first file
+    that holds it.  A text found there is not written again: the temporary
+    file becomes a hard link to that file.  Files of equal content then
+    share one inode, so such a file must be replaced, never edited in
+    place.  Where the link fails (too many links to one file, or no hard
+    links on this file system), the text is written, and later files of
+    that text link to this one."""
     tmp = path.with_name(path.name + ".tmp")
+    text = "\n".join(lines) + "\n"
+    first = path if written is None else written.setdefault(text, path)
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.unlink(missing_ok=True)  # a stale one may link to another file
+        if first is not path:
+            try:
+                os.link(first, tmp)
+            except OSError:
+                first = written[text] = path
+        if first is path:
+            tmp.write_text(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write_trace_csv(path: Path, trace: RunTrace) -> None:
+def write_trace_csv(path: Path, trace: RunTrace,
+                    written: dict[str, Path] | None = None) -> None:
+    """Write `trace` to `path`; `written` is as for `_write_lines`."""
     _write_lines(path, [TRACE_HEADER]
-                 + [f"{evals},{best}" for evals, best in trace.points])
+                 + [f"{evals},{best}" for evals, best in trace.points],
+                 written)
 
 
 def read_trace_csv(path: Path) -> RunTrace:
@@ -235,13 +256,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
                          f"one would not overwrite: {', '.join(stale[:3])}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Replications that draw nothing from their seed trace alike: the first
+    # file of each text is written, the others link to it.
     results: dict[tuple[int, str, int], RunResult] = {}
-    wall_seconds = {}
+    wall_seconds, written = {}, {}
     for key, config in cells.items():
         started = time.perf_counter()
         results[key] = run(benchmark.instances[key[0] - 1], config)
         wall_seconds[key] = time.perf_counter() - started
-        write_trace_csv(trace_files[key], results[key].trace)
+        write_trace_csv(trace_files[key], results[key].trace, written)
 
     _write_lines(summary_file, [SUMMARY_HEADER] + [
         f"{idx},{label},{seed},{r.best_objective},{r.evaluations_total},"

@@ -77,6 +77,21 @@ MUTANTS = [
     Mutant("E2 ExperimentSpec keeps a list of strategies", HARNESS,
            'object.__setattr__(self, "strategies", tuple(self.strategies))',
            "pass", KILLED),
+    # Equal traces become hard links to one file.
+    Mutant("L1 a stale temporary file is written through", HARNESS,
+           "        tmp.unlink(missing_ok=True)  # a stale one may link to"
+           " another file\n", "", KILLED),
+    Mutant("L2 every trace links to the first one", HARNESS,
+           "written.setdefault(text, path)",
+           "written.setdefault(lines[0], path)", KILLED),
+    Mutant("L3 a failed link writes nothing", HARNESS,
+           "first = written[text] = path", "pass", KILLED),
+    Mutant("L4 a failed link leaves the full file first", HARNESS,
+           "first = written[text] = path", "first = path", KILLED),
+    Mutant("L5 the first file is told by equality", HARNESS,
+           "if first is path:", "if first == path:",
+           "equivalent: each path is written once per call and setdefault"
+           " returns the object it holds, so a first equal to path is path"),
     # The exact oracle: Held and Karp's subset DP.
     Mutant("P1 the oracle keeps the last optimal next job", ORACLE,
            "cost < best:", "cost <= best:", KILLED),

@@ -33,7 +33,7 @@ from .conftest import random_instance, rejection_randint
 
 FIXED_CFG = StrategyConfig(strategy=Strategy.FIXED)
 # Python versions whose `randrange` and `shuffle` draw as the engine does.
-STDLIB_DRAWS = (3, 10) <= sys.version_info[:2] <= (3, 12)
+STDLIB_DRAWS = (3, 10) <= sys.version_info[:2] <= (3, 13)
 
 
 def assert_valid_trace(trace: RunTrace):

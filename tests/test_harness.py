@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -418,19 +419,99 @@ def fail_on_call(call, error):
     ("replace", OSError("disk full")),
     ("replace", KeyboardInterrupt()),
     ("write", OSError("disk full")),
-], ids=["replace-oserror", "replace-interrupt", "write-oserror"])
+    ("link", KeyboardInterrupt()),
+], ids=["replace-oserror", "replace-interrupt", "write-oserror",
+        "link-interrupt"])
 def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, target,
                                                error):
-    spec = make_spec(tmp_path, strategies=(Strategy.FIXED,))
+    # The second replication's trace equals the first's, so it is a link.
+    spec = make_spec(tmp_path, strategies=(Strategy.FIXED,), replications=2)
     if target == "replace":
         monkeypatch.setattr(harness.os, "replace",
                             fail_on_call(lambda *args: None, error))
+    elif target == "link":  # the temporary file is linked, then it fails
+        monkeypatch.setattr(harness.os, "link", fail_on_call(os.link, error))
     else:  # the temporary file is written, then the write fails
         monkeypatch.setattr(Path, "write_text",
                             fail_on_call(Path.write_text, error))
     with pytest.raises(type(error)):
         run_experiment(spec)
-    assert os.listdir(spec.out_dir) == []
+    kept = ["trace_i001_fixed_s0.csv"] if target == "link" else []
+    assert os.listdir(spec.out_dir) == kept
+
+
+@pytest.mark.parametrize("seed", [0, 1], ids=["written", "linked"])
+@pytest.mark.parametrize("make_tmp", [os.link, os.symlink])
+def test_experiment_never_writes_through_a_stale_temporary_file(
+        tmp_path, make_tmp, seed):
+    # A killed run may leave `<name>.tmp` as a link to another file; the
+    # next run replaces it and leaves that file alone.
+    keep = tmp_path / "keep.txt"
+    keep.write_text("keep\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    make_tmp(keep, out_dir / f"trace_i001_fixed_s{seed}.csv.tmp")
+    spec = make_spec(tmp_path, strategies=(Strategy.FIXED,), replications=2)
+    output = run_experiment(spec)
+    assert keep.read_text() == "keep\n"
+    assert sorted(os.listdir(out_dir)) == sorted(p.name for p in output.files)
+    assert not any(p.is_symlink() for p in output.files)
+    assert output.files[0].read_text().startswith(TRACE_HEADER)
+
+
+def two_instance_spec(tmp_path: Path, out: str, **overrides) -> ExperimentSpec:
+    instances = tmp_path / "two.txt"
+    instances.write_text(TINY_TEXT + "  2 5 1  1 3 2  4 1 6")
+    return make_spec(tmp_path, instance_file=instances, count=2,
+                     out_dir=tmp_path / out, **overrides)
+
+
+def test_equal_traces_are_one_file(tmp_path):
+    output = run_experiment(two_instance_spec(tmp_path, "out",
+                                              replications=2))
+    traces = list(output.trace_files.values())
+    content = {p: p.read_bytes() for p in traces}
+    pairs = [(a, b) for a in traces for b in traces if a != b]
+    # Fixed and adaptive draw nothing from the seed; random does.
+    assert {content[a] == content[b] for a, b in pairs} == {True, False}
+    for a, b in pairs:
+        assert os.path.samefile(a, b) == (content[a] == content[b])
+    assert all(p.stat().st_nlink == 1 for p in output.files[len(traces):])
+
+
+def test_experiment_writes_what_it_cannot_link(tmp_path, monkeypatch):
+    linked = run_experiment(two_instance_spec(tmp_path, "linked",
+                                              replications=2))
+
+    def no_link(source, target):
+        raise OSError(errno.EMLINK, "Too many links")
+
+    monkeypatch.setattr(harness.os, "link", no_link)
+    output = run_experiment(two_instance_spec(tmp_path, "written",
+                                              replications=2))
+    assert [p.name for p in output.out_dir.iterdir()
+            if p.name.endswith(".tmp")] == []
+    assert all(p.stat().st_nlink == 1 for p in output.files)
+    assert csv_bytes(output.out_dir) == csv_bytes(linked.out_dir)
+
+
+def test_a_full_file_is_linked_no_more(tmp_path, monkeypatch):
+    # Past the file system's link limit, here 2, the next equal trace is
+    # written, and the ones after it link to that new file.
+    real_link = os.link
+
+    def link_up_to_two(source, target):
+        if os.stat(source).st_nlink >= 2:
+            raise OSError(errno.EMLINK, "Too many links")
+        real_link(source, target)
+
+    monkeypatch.setattr(harness.os, "link", link_up_to_two)
+    spec = make_spec(tmp_path, strategies=(Strategy.FIXED,), replications=4)
+    traces = list(run_experiment(spec).trace_files.values())
+    assert [p.stat().st_nlink for p in traces] == [2, 2, 2, 2]
+    assert os.path.samefile(traces[0], traces[1])
+    assert os.path.samefile(traces[2], traces[3])
+    assert not os.path.samefile(traces[1], traces[2])
 
 
 def test_interrupted_experiment_keeps_its_finished_traces(tmp_path,

@@ -223,7 +223,7 @@ def test_generate_draws_what_randint_draws(n):
         for rdd, tf in GRID_POINTS:
             expected, case = reference_instance(n, seed, rdd, tf)
             assert generate_instance(n, seed, rdd, tf) == expected
-            if (3, 10) <= sys.version_info[:2] <= (3, 12):
+            if (3, 10) <= sys.version_info[:2] <= (3, 13):
                 assert reference_instance(
                     n, seed, rdd, tf, random.Random.randint) == (expected, case)
             cases.add(case)
