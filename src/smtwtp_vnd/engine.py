@@ -20,6 +20,13 @@ exact lower bound shows it cannot is not scored further.  A scan runs its
 whole neighborhood unless `descend`'s capped tick stops it, at the move where
 the probe cap or the evaluation budget falls.  So counts and traces are those
 of scoring each candidate in turn.
+
+The runs of one instance may share the whole scans their descents made: a
+descent that starts where a kept one started replays its chain of scans,
+ticking every candidate again, instead of scoring them.  `run` keeps them
+for its own run, and `harness.run_experiment` for the cells of one
+instance.  The count moves only through `EvalCounter.tick`, so a replayed
+candidate is one evaluation as a scored one is.
 """
 
 import math
@@ -267,6 +274,24 @@ def _backward_shifts(gap, P, W, D, comp, pre, limit, tick):
             start = comp[j]
 
 
+def _replay(yields: list, tick: Callable[[], object],
+            last: int) -> Iterator[tuple[int, int, int]]:
+    """A kept whole scan, run again up to move `last` as `_scan` ran it:
+    tick moves 0..last-1 in turn, and after the tick of move `t` yield
+    `(i, j, c)` for each flat `t, i, j, c` of `yields` with `t < last`."""
+    reached = 0
+    moves = iter(yields)
+    for t, i, j, c in zip(moves, moves, moves, moves):
+        if t >= last:
+            break
+        for _ in range(t + 1 - reached):
+            tick()
+        reached = t + 1
+        yield i, j, c
+    for _ in range(last - reached):
+        tick()
+
+
 class _Stop(Exception):
     """Raised by a capped tick at the move where a scan must stop."""
 
@@ -292,14 +317,16 @@ def descend(
     *,
     start_objective: int,
     max_candidates: int | None = None,
+    scans: dict | None = None,
 ) -> DescentResult:
     """Descend from `start` within one neighborhood until no move improves.
 
     This is one step of `run`'s loop and is not checked again here: `run`
     passes a `start` that is a tuple and a permutation of the instance's
-    jobs, a `start_objective` that is exactly its objective, and a
+    jobs, a `start_objective` that is exactly its objective, a
     `max_candidates` that is None or the `probe_budget` that
-    `StrategyConfig` has checked.
+    `StrategyConfig` has checked, and `scans`, the whole scans kept from
+    this run's instance (see below; None keeps them for this call only).
 
     Only candidate sequences are evaluated (and counted): `_scan` scores
     every move's change of objective from the span it changes.  The
@@ -319,6 +346,19 @@ def descend(
     scan yields nothing, so it runs to its stop or the neighborhood's end;
     `budget_hit` says it stopped short of that end, at the budget rather
     than the cap (the cap wins a tie).
+    A whole scan's yields depend only on the instance, its sequence, the
+    kind and nesting.  So `scans` keeps, under `(start, kind, nested)`, the
+    chain of whole scans that a descent from `start` made: each node holds
+    its scan's yields as flat `t, i, j, c` (`t` the move's index) and the
+    node of the scan after its accept.  A descent whose start is kept
+    replays the chain node by node through `_replay`, which ticks each move
+    up to the stop and yields the kept moves as the scan did, so a replayed
+    candidate is still one evaluation, with the same trace points and
+    accepts.  A first-improvement descent breaks at a replay's first yield,
+    as at a scan's, so one chain serves both descent rules.  The descent
+    scores again from the first node that is missing, with its tables
+    refreshed in full.  A scan that broke at a first improvement or stopped
+    short is not kept, and ends the chain.
     RuntimeError is raised when an accept would not lower the objective or
     would take it below 0, so a faulty scan cannot make the descent run
     away.
@@ -338,37 +378,62 @@ def descend(
     P, W, D, comp, cost = tables = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     change = [0] * n
     lo, hi = 0, n - 1
+    # The chain kept from `start`: `scans[key]` is its first node, each node
+    # is [yields, next node], and `tail` is the last node this descent
+    # reached.  Once a scan ends short, `key` is None: the chain has ended.
+    if scans is None:
+        scans = {}
+    key = (start, kind, config.nested)
+    node, tail = scans.get(key), None
 
     while True:
-        # Only positions lo..hi (all of them at first) hold new jobs, so
-        # only their completion times and costs moved.
-        clock = comp[lo - 1] if lo else 0
-        for m in range(lo, hi + 1):
-            job = current[m]
-            P[m] = pm = p[job]
-            W[m] = wm = w[job]
-            D[m] = dm = d[job]
-            clock += pm
-            comp[m] = clock
-            cost[m] = wm * (clock - dm) if clock > dm else 0
-        # The scan may reach moves 0..last-1; a stop falls on move last.  A
-        # scan that may run whole ticks the counter itself, at no extra cost.
+        # The scan may reach moves 0..last-1; a stop falls on move last.
         last = min(size, stop - counter.count)
-        best = None
         # The scan's best change; each move the scan yields is a new best.
         limit = [0]
+        replayed = node is not None
+        if replayed:
+            scan = _replay(node[0], tick, last)
+        else:
+            # Only positions lo..hi (all of them at first) hold new jobs,
+            # so only their completion times and costs moved.
+            clock = comp[lo - 1] if lo else 0
+            for m in range(lo, hi + 1):
+                job = current[m]
+                P[m] = pm = p[job]
+                W[m] = wm = w[job]
+                D[m] = dm = d[job]
+                clock += pm
+                comp[m] = clock
+                cost[m] = wm * (clock - dm) if clock > dm else 0
+            # A scan that may run whole ticks the counter itself, at no
+            # extra cost.
+            scan = _scan(kind, config.nested, tables, limit, change, lo, hi,
+                         tick if last == size else _capped(tick, last))
+        base = counter.count
+        best = None
+        yields = []
         try:
-            for i, j, c in _scan(
-                    kind, config.nested, tables, limit, change, lo, hi,
-                    tick if last == size else _capped(tick, last)):
+            for i, j, c in scan:
                 # The run's best is never above the scan's, so only a scan
                 # improvement can be a new point of the trace.
                 trace.record_if_improved(counter.count, current_obj + c)
                 best, limit[0] = (i, j), c
+                yields += counter.count - base - 1, i, j, c
                 if first:
                     break
         except _Stop:
             pass
+        if last < size or first and best is not None:
+            key = node = None
+        elif key is not None:
+            if node is None:
+                node = [yields, None]
+                if tail is None:
+                    scans[key] = node
+                else:
+                    tail[1] = node
+            tail, node = node, node[1]
         if best is None:
             break
         # Rescan from the new incumbent; after a stop the rescan stops too.
@@ -380,14 +445,16 @@ def descend(
         if limit[0] >= 0 or current_obj < 0:
             raise RuntimeError(f"{kind.name} scan reported change {limit[0]},"
                                f" taking the objective to {current_obj}")
-        lo, hi = min(i, j), max(i, j)
+        # After a replay the tables hold an older sequence: refresh them all.
+        lo, hi = (0, n - 1) if replayed else (min(i, j), max(i, j))
 
     # The last scan yielded nothing, so it reached move `last`.
     return DescentResult(current, current_obj, counter.count - entry,
                          last < size and stop < cap)
 
 
-def run(instance: Instance, config: StrategyConfig) -> RunResult:
+def run(instance: Instance, config: StrategyConfig,
+        scans: dict | None = None) -> RunResult:
     """Run the strategy selected by `config` on `instance`.
 
     Each round picks one of the neighborhoods still eligible (kept in
@@ -400,7 +467,19 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
     in the rest as `fixed` does, rescanning moves its probes saw.  The run
     ends only when none is left or the budget runs out, so for every
     strategy exhaustion means each neighborhood was scanned whole at the end.
+
+    `scans` holds the whole scans of `instance`'s descents (see `descend`)
+    for as long as the caller keeps it, so the runs that share it replay a
+    scan another made instead of scoring it again.  A replayed candidate
+    still ticks, and the results are the same either way.  None keeps them
+    for this run only.  The first run given a dict ties it to `instance`
+    (it maps None to it), and a run on another instance, even an equal
+    one, raises ValueError.
     """
+    if scans is None:
+        scans = {}
+    if scans.setdefault(None, instance) is not instance:
+        raise ValueError("scans holds the scans of another instance")
     rng = random.Random(config.seed)
     counter, trace = EvalCounter(), RunTrace()
     current = initial_sequence(instance, config, rng)
@@ -423,7 +502,7 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
                 res = probes[kind] = descend(
                     instance, current, kind, config, counter, trace,
                     start_objective=current_obj,
-                    max_candidates=config.probe_budget)
+                    max_candidates=config.probe_budget, scans=scans)
                 if res.budget_hit:
                     break
             budget_hit = res.budget_hit
@@ -440,7 +519,7 @@ def run(instance: Instance, config: StrategyConfig) -> RunResult:
         else:
             kind = remaining[0]
         res = descend(instance, current, kind, config, counter, trace,
-                      start_objective=current_obj)
+                      start_objective=current_obj, scans=scans)
         current, current_obj = res.sequence, res.objective
         budget_hit = res.budget_hit
         if current_obj < before:

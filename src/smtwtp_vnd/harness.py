@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 from .core import RunTrace, _require, _require_count
@@ -257,14 +258,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Replications that draw nothing from their seed trace alike: the first
-    # file of each text is written, the others link to it.
+    # file of each text is written, the others link to it.  The cells of
+    # one instance share one dict of whole scans, so a scan that another of
+    # its runs made is replayed; it is dropped after the instance's cells.
     results: dict[tuple[int, str, int], RunResult] = {}
     wall_seconds, written = {}, {}
-    for key, config in cells.items():
-        started = time.perf_counter()
-        results[key] = run(benchmark.instances[key[0] - 1], config)
-        wall_seconds[key] = time.perf_counter() - started
-        write_trace_csv(trace_files[key], results[key].trace, written)
+    for idx, group in groupby(cells.items(), key=lambda cell: cell[0][0]):
+        instance, scans = benchmark.instances[idx - 1], {}
+        for key, config in group:
+            started = time.perf_counter()
+            results[key] = run(instance, config, scans)
+            wall_seconds[key] = time.perf_counter() - started
+            write_trace_csv(trace_files[key], results[key].trace, written)
 
     _write_lines(summary_file, [SUMMARY_HEADER] + [
         f"{idx},{label},{seed},{r.best_objective},{r.evaluations_total},"

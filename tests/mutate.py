@@ -129,9 +129,9 @@ MUTANTS = [
            "if seed < 0:", "if seed < -1:", KILLED),
     # The one stop rule.
     Mutant("M1 the cap falls one move late", ENGINE,
-           "_capped(tick, last)):", "_capped(tick, last + 1)):", KILLED),
+           "_capped(tick, last))\n", "_capped(tick, last + 1))\n", KILLED),
     Mutant("M2 the cap falls one move early", ENGINE,
-           "_capped(tick, last)):", "_capped(tick, last - 1)):", KILLED),
+           "_capped(tick, last))\n", "_capped(tick, last - 1))\n", KILLED),
     Mutant("M3 a scan is never capped", ENGINE,
            "tick if last == size else _capped(tick, last)", "tick", KILLED),
     Mutant("M4 a stopped scan drops its best", ENGINE,
@@ -176,6 +176,36 @@ MUTANTS = [
     Mutant("K8 config drops max_evaluations", HARNESS,
            "for name in _SETTINGS}",
            'for name in _SETTINGS if name != "max_evaluations"}', KILLED),
+    # Whole scans kept and replayed across the runs of one instance.
+    Mutant("R1 the chain's key leaves out nesting", ENGINE,
+           "key = (start, kind, config.nested)", "key = (start, kind)",
+           KILLED),
+    Mutant("R2 a scan that broke at a first improvement is kept", ENGINE,
+           "if last < size or first and best is not None:",
+           "if last < size:", KILLED),
+    Mutant("R3 a scan that stopped short is kept", ENGINE,
+           "if last < size or first and best is not None:",
+           "if first and best is not None:", KILLED),
+    Mutant("R4 no full refresh after a replay", ENGINE,
+           "lo, hi = (0, n - 1) if replayed else (min(i, j), max(i, j))",
+           "lo, hi = min(i, j), max(i, j)", KILLED),
+    Mutant("R5 a replay ticks one short before a yield", ENGINE,
+           "range(t + 1 - reached)", "range(t - reached)", KILLED),
+    Mutant("R6 a scans dict is not tied to its instance", ENGINE,
+           "if scans.setdefault(None, instance) is not instance:",
+           "if False:", KILLED),
+    Mutant("R7 each cell gets a dict of its own", HARNESS,
+           "run(instance, config, scans)", "run(instance, config, {})",
+           KILLED),
+    Mutant("R8 one dict for every instance", HARNESS,
+           "wall_seconds, written = {}, {}\n"
+           "    for idx, group in groupby(cells.items(), key=lambda cell:"
+           " cell[0][0]):\n"
+           "        instance, scans = benchmark.instances[idx - 1], {}",
+           "wall_seconds, written, scans = {}, {}, {}\n"
+           "    for idx, group in groupby(cells.items(), key=lambda cell:"
+           " cell[0][0]):\n"
+           "        instance = benchmark.instances[idx - 1]", KILLED),
     # The move model.
     Mutant("N1 a reversal block never starts at the last position",
            NEIGHBORHOODS, "range(n - k + 1))", "range(n - k))", KILLED),

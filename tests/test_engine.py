@@ -19,6 +19,7 @@ from smtwtp_vnd import (
     brute_force_optimum,
     certify_local_optimum,
     generate_benchmark_set,
+    generate_instance,
     neighborhood_size,
     objective_value,
     run,
@@ -28,7 +29,7 @@ from smtwtp_vnd.core import EvalCounter
 from smtwtp_vnd.engine import descend, initial_sequence
 from smtwtp_vnd.oracle import MAX_EXACT_N
 
-from . import reference_engine
+from . import reference_engine, sweep
 from .conftest import random_instance, rejection_randint
 
 FIXED_CFG = StrategyConfig(strategy=Strategy.FIXED)
@@ -419,6 +420,71 @@ def test_a_phantom_improvement_fails_fast(tiny_instance, change, scans,
     assert len(trace.points) <= start_objective + 1
 
 
+def test_a_kept_descent_replays_at_every_stop(monkeypatch):
+    # A descent from a kept start scores no scan while its chain lasts, and
+    # under every cap it equals a descent that scores every scan.
+    inst = generate_instance(8, 3, 0.6, 0.2)
+    start = (7, 6, 5, 4, 3, 2, 1, 0)
+    kind, scans = Neighborhood.EX_NO_APEX, {}
+
+    def descent(max_candidates=None, scans=None):
+        counter, trace = EvalCounter(count=3), RunTrace()
+        res = descend(inst, start, kind, FIXED_CFG, counter, trace,
+                      start_objective=objective_value(inst, start),
+                      max_candidates=max_candidates, scans=scans)
+        return res, counter.count, trace.points
+
+    kept = descent(scans=scans)
+    assert len(kept[2]) > 2    # several accepts, so a chain of scans
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_scan", None)
+        assert descent(scans=scans) == kept
+    for cap in range(1, kept[0].evaluations + 2):
+        assert descent(cap, scans) == descent(cap), cap
+
+
+def test_runs_sharing_their_instances_scans_equal_runs_alone(monkeypatch):
+    # The sweep's runs, each alone and again with one `scans` dict shared by
+    # all the runs of its instance, in a shuffled order.
+    original, scored = engine._scan, [0, 0]
+
+    def counted(*args):
+        scored[shared] += 1
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_scan", counted)
+    rng = random.Random(35)
+    for n, (offset, rdd, tf) in itertools.product(sweep.SIZES,
+                                                  sweep.INSTANCES):
+        inst, scans = generate_instance(n, n + offset, rdd, tf), {}
+        configs = [StrategyConfig(s, descent_rule=rule, probe_budget=probe,
+                                  seed=n, nested=nested, initial=initial,
+                                  max_evaluations=budget)
+                   for s, rule, nested, initial, budget, probe in
+                   itertools.product(Strategy, DescentRule, (False, True),
+                                     InitialOrder, sweep.BUDGETS,
+                                     sweep.PROBE_BUDGETS)]
+        rng.shuffle(configs)
+        for config in configs:
+            shared = False
+            alone = run(inst, config)
+            shared = True
+            assert run(inst, config, scans) == alone, config
+    assert scored[True] < 0.7 * scored[False]
+
+
+def test_a_scans_dict_belongs_to_one_instance(tiny_instance):
+    # Kept by identity: an equal instance is another instance.
+    scans = {}
+    for seed in (0, 1):
+        run(tiny_instance, replace(FIXED_CFG, seed=seed), scans)
+    twin = Instance(tiny_instance.processing, tiny_instance.weight,
+                    tiny_instance.due)
+    with pytest.raises(ValueError, match="scans of another instance"):
+        run(twin, FIXED_CFG, scans)
+    assert run(twin, FIXED_CFG) == run(tiny_instance, FIXED_CFG, scans)
+
+
 # --- the run grid: each run-level property, on every run it applies to -----
 
 
@@ -460,6 +526,9 @@ def grid_runs():
         result = descend(*args, max_candidates=max_candidates, **kwargs)
         calls.append((max_candidates, result.evaluations))
         return result
+    def from_scratch(*args, scans=None, **kwargs):
+        # The reference scores every scan: it keeps none to replay.
+        return reference_engine.descend(*args, **kwargs)
     def logging_objective(instance, order):
         log.append(objective_value(instance, order))
         return log[-1]
@@ -478,7 +547,7 @@ def grid_runs():
                                     for b in sorted(budgets)])
             kernel = {g[1].max_evaluations: g for g in groups[-1]}[reference]
             with pytest.MonkeyPatch.context() as r:
-                r.setattr(engine, "descend", reference_engine.descend)
+                r.setattr(engine, "descend", from_scratch)
                 for module in engine, reference_engine:
                     r.setattr(module, "objective_value", logging_objective)
                 log.clear()

@@ -260,9 +260,9 @@ def test_experiment_builds_one_config_per_strategy_and_seed(tmp_path,
 
     harness_run, ran = harness.run, []
 
-    def recorded_run(instance, config):
+    def recorded_run(instance, config, *args, **kwargs):
         ran.append((config.strategy, config.seed))
-        return harness_run(instance, config)
+        return harness_run(instance, config, *args, **kwargs)
 
     monkeypatch.setattr(ExperimentSpec, "config", counted_config)
     monkeypatch.setattr(harness, "run", recorded_run)
@@ -272,6 +272,26 @@ def test_experiment_builds_one_config_per_strategy_and_seed(tmp_path,
     assert sorted(built, key=pairs.index) == pairs
     assert ran == [(Strategy(label), seed)
                    for _, label, seed in output.results]
+
+
+def test_experiment_shares_one_scans_dict_per_instance(tmp_path,
+                                                      monkeypatch):
+    instances = tmp_path / "two.txt"
+    instances.write_text(TINY_TEXT + "  2 5 1  1 3 2  4 1 6")
+    spec = make_spec(tmp_path, instance_file=instances, count=2,
+                     replications=2)
+    harness_run, handed = harness.run, []
+
+    def recorded_run(instance, config, scans):
+        handed.append(scans)
+        return harness_run(instance, config, scans)
+
+    monkeypatch.setattr(harness, "run", recorded_run)
+    output = run_experiment(spec)
+    first = {}
+    for (idx, *_), scans in zip(output.results, handed, strict=True):
+        assert first.setdefault(idx, scans) is scans
+    assert len(first) == 2 and first[1] is not first[2]
 
 
 def test_experiment_emits_crossover_for_multiple_strategies(tmp_path):
@@ -524,11 +544,11 @@ def test_interrupted_experiment_keeps_its_finished_traces(tmp_path,
         out_dir=tmp_path / "whole"))
     harness_run, calls = harness.run, []
 
-    def run_until_third(*args):
+    def run_until_third(*args, **kwargs):
         calls.append(args)
         if len(calls) == 3:
             raise KeyboardInterrupt
-        return harness_run(*args)
+        return harness_run(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run", run_until_third)
     spec = make_spec(tmp_path, instance_file=instances, count=2,
