@@ -22,9 +22,9 @@ the probe cap or the evaluation budget falls.  So counts and traces are those
 of scoring each candidate in turn.
 
 The runs of one instance may share the whole scans their descents made: a
-descent that starts where a kept one started replays its chain of scans,
-ticking every candidate again, instead of scoring them.  `run` keeps them
-for its own run, and `harness.run_experiment` for the cells of one
+descent that starts where a kept one started replays that one's scans in
+order, ticking every candidate again, instead of scoring them.  `run` keeps
+them for its own run, and `harness.run_experiment` for the cells of one
 instance.  The count moves only through `EvalCounter.tick`, so a replayed
 candidate is one evaluation as a scored one is.
 """
@@ -275,20 +275,19 @@ def _backward_shifts(gap, P, W, D, comp, pre, limit, tick):
 
 
 def _replay(yields: list, tick: Callable[[], object],
-            last: int) -> Iterator[tuple[int, int, int]]:
-    """A kept whole scan, run again up to move `last` as `_scan` ran it:
-    tick moves 0..last-1 in turn, and after the tick of move `t` yield
-    `(i, j, c)` for each flat `t, i, j, c` of `yields` with `t < last`."""
+            size: int) -> Iterator[tuple[int, int, int]]:
+    """A kept whole scan of `size` moves, run again as `_scan` ran it: tick
+    each move in turn, and after the tick of move `t` yield `(i, j, c)` for
+    each flat `t, i, j, c` of `yields`.  Like a scan, it runs whole unless
+    `tick` raises."""
     reached = 0
     moves = iter(yields)
     for t, i, j, c in zip(moves, moves, moves, moves):
-        if t >= last:
-            break
         for _ in range(t + 1 - reached):
             tick()
         reached = t + 1
         yield i, j, c
-    for _ in range(last - reached):
+    for _ in range(size - reached):
         tick()
 
 
@@ -342,23 +341,25 @@ def descend(
     stops, hands it a capped tick that stops it at the move where that
     limit falls.
     The best improving candidate of a stopped scan is still accepted, so
-    the returned sequence is always the best sequence evaluated.  The last
-    scan yields nothing, so it runs to its stop or the neighborhood's end;
-    `budget_hit` says it stopped short of that end, at the budget rather
-    than the cap (the cap wins a tie).
+    the returned sequence is always the best sequence evaluated.  The
+    descent ends on a scan that yields nothing, which runs to its stop or
+    the neighborhood's end, or at a stop with no move left; `budget_hit`
+    says it ended short of that end, at the budget rather than the cap
+    (the cap wins a tie).
     A whole scan's yields depend only on the instance, its sequence, the
     kind and nesting.  So `scans` keeps, under `(start, kind, nested)`, the
-    chain of whole scans that a descent from `start` made: each node holds
-    its scan's yields as flat `t, i, j, c` (`t` the move's index) and the
-    node of the scan after its accept.  A descent whose start is kept
-    replays the chain node by node through `_replay`, which ticks each move
-    up to the stop and yields the kept moves as the scan did, so a replayed
-    candidate is still one evaluation, with the same trace points and
-    accepts.  A first-improvement descent breaks at a replay's first yield,
-    as at a scan's, so one chain serves both descent rules.  The descent
-    scores again from the first node that is missing, with its tables
-    refreshed in full.  A scan that broke at a first improvement or stopped
-    short is not kept, and ends the chain.
+    list of whole scans that a descent from `start` made, in order, each as
+    its yields in flat `t, i, j, c` (`t` the move's index).  Scan k of a
+    descent whose start is kept replays the list's entry k, if there is
+    one, through `_replay`, which ticks each move with the scan's own tick
+    and yields the kept moves as the scan did; so a replayed candidate is
+    still one evaluation, with the same trace points, accepts and stop.  A
+    first-improvement descent breaks at a replay's first yield, as at a
+    scan's, so one list serves both descent rules.  The descent scores
+    again from the first scan that is not kept, with its tables refreshed
+    in full, and appends each whole scan it scores.  A scan that broke at a
+    first improvement or stopped short is not kept, and detaches the
+    descent from the list.
     RuntimeError is raised when an accept would not lower the objective or
     would take it below 0, so a faulty scan cannot make the descent run
     away.
@@ -378,22 +379,25 @@ def descend(
     P, W, D, comp, cost = tables = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     change = [0] * n
     lo, hi = 0, n - 1
-    # The chain kept from `start`: `scans[key]` is its first node, each node
-    # is [yields, next node], and `tail` is the last node this descent
-    # reached.  Once a scan ends short, `key` is None: the chain has ended.
+    # The whole scans kept from `start`, in order: scan k of this descent
+    # replays chain[k] while there is one, and a whole scan it scores is
+    # appended.  A scan that ends short detaches the descent from the chain.
     if scans is None:
         scans = {}
-    key = (start, kind, config.nested)
-    node, tail = scans.get(key), None
+    chain = scans.setdefault((start, kind, config.nested), [])
+    k = 0
 
-    while True:
-        # The scan may reach moves 0..last-1; a stop falls on move last.
-        last = min(size, stop - counter.count)
+    # The scan may reach moves 0..last-1; a stop falls on move last.  After
+    # a stop no move is left, so the descent ends.
+    while last := min(size, stop - counter.count):
+        # A scan that may run whole ticks the counter itself, at no extra
+        # cost.
+        scan_tick = tick if last == size else _capped(tick, last)
         # The scan's best change; each move the scan yields is a new best.
         limit = [0]
-        replayed = node is not None
+        replayed = k < len(chain)
         if replayed:
-            scan = _replay(node[0], tick, last)
+            scan = _replay(chain[k], scan_tick, size)
         else:
             # Only positions lo..hi (all of them at first) hold new jobs,
             # so only their completion times and costs moved.
@@ -406,10 +410,8 @@ def descend(
                 clock += pm
                 comp[m] = clock
                 cost[m] = wm * (clock - dm) if clock > dm else 0
-            # A scan that may run whole ticks the counter itself, at no
-            # extra cost.
             scan = _scan(kind, config.nested, tables, limit, change, lo, hi,
-                         tick if last == size else _capped(tick, last))
+                         scan_tick)
         base = counter.count
         best = None
         yields = []
@@ -425,18 +427,14 @@ def descend(
         except _Stop:
             pass
         if last < size or first and best is not None:
-            key = node = None
-        elif key is not None:
-            if node is None:
-                node = [yields, None]
-                if tail is None:
-                    scans[key] = node
-                else:
-                    tail[1] = node
-            tail, node = node, node[1]
+            chain = []
+        elif not replayed:
+            chain.append(yields)
+        k += 1
         if best is None:
             break
-        # Rescan from the new incumbent; after a stop the rescan stops too.
+        # Rescan from the new incumbent; after a stop `last` is 0 and the
+        # loop ends.
         i, j = best
         current = apply_move(current, Move(kind, i, j))
         current_obj += limit[0]
@@ -448,7 +446,8 @@ def descend(
         # After a replay the tables hold an older sequence: refresh them all.
         lo, hi = (0, n - 1) if replayed else (min(i, j), max(i, j))
 
-    # The last scan yielded nothing, so it reached move `last`.
+    # The last scan yielded nothing, so it reached move `last`, or no move
+    # was left.
     return DescentResult(current, current_obj, counter.count - entry,
                          last < size and stop < cap)
 

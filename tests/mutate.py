@@ -129,9 +129,9 @@ MUTANTS = [
            "if seed < 0:", "if seed < -1:", KILLED),
     # The one stop rule.
     Mutant("M1 the cap falls one move late", ENGINE,
-           "_capped(tick, last))\n", "_capped(tick, last + 1))\n", KILLED),
+           "_capped(tick, last)\n", "_capped(tick, last + 1)\n", KILLED),
     Mutant("M2 the cap falls one move early", ENGINE,
-           "_capped(tick, last))\n", "_capped(tick, last - 1))\n", KILLED),
+           "_capped(tick, last)\n", "_capped(tick, last - 1)\n", KILLED),
     Mutant("M3 a scan is never capped", ENGINE,
            "tick if last == size else _capped(tick, last)", "tick", KILLED),
     Mutant("M4 a stopped scan drops its best", ENGINE,
@@ -177,9 +177,8 @@ MUTANTS = [
            "for name in _SETTINGS}",
            'for name in _SETTINGS if name != "max_evaluations"}', KILLED),
     # Whole scans kept and replayed across the runs of one instance.
-    Mutant("R1 the chain's key leaves out nesting", ENGINE,
-           "key = (start, kind, config.nested)", "key = (start, kind)",
-           KILLED),
+    Mutant("R1 the kept scans' key leaves out nesting", ENGINE,
+           "(start, kind, config.nested)", "(start, kind)", KILLED),
     Mutant("R2 a scan that broke at a first improvement is kept", ENGINE,
            "if last < size or first and best is not None:",
            "if last < size:", KILLED),
@@ -206,6 +205,40 @@ MUTANTS = [
            "    for idx, group in groupby(cells.items(), key=lambda cell:"
            " cell[0][0]):\n"
            "        instance = benchmark.instances[idx - 1]", KILLED),
+    Mutant("R9 a scan that ended short keeps the kept scans", ENGINE,
+           "            chain = []\n", "            pass\n", KILLED),
+    Mutant("R10 every scan replays the first kept scan", ENGINE,
+           "        k += 1\n", "", KILLED),
+    Mutant("R11 a descent scores a scan with no move left", ENGINE,
+           "while last := min(size, stop - counter.count):",
+           "while (last := min(size, stop - counter.count)) or True:",
+           KILLED),
+    # Off by one in the kernels, the stop flag, adaptive and the crossover.
+    Mutant("H1 EX's bound one too high", ENGINE,
+           "bound = pre[j] - inner_pre\n", "bound = pre[j] - inner_pre + 1\n",
+           KILLED),
+    Mutant("H2 the reversal re-score window starts one block late", ENGINE,
+           "max(0, lo - k + 1)", "max(0, lo - k + 2)", KILLED),
+    Mutant("H3 the reversal re-score window ends one block early", ENGINE,
+           "min(n - k, hi)", "min(n - k, hi - 1)", KILLED),
+    Mutant("H4 FSH skips the job it jumps without nesting", ENGINE,
+           "range(i + 1, i + gap)", "range(i + 2, i + gap)", KILLED),
+    Mutant("H5 BSH starts the job one unit early", ENGINE,
+           "start = comp[j]\n", "start = comp[j] - 1\n", KILLED),
+    Mutant("H6 a whole last scan may count as the budget's stop", ENGINE,
+           "last < size and stop < cap", "last <= size and stop < cap",
+           KILLED),
+    Mutant("H7 adaptive rescans a neighborhood its probe scanned whole",
+           ENGINE, "> config.probe_budget", ">= config.probe_budget", KILLED),
+    Mutant("H8 the crossover takes a tie as worse", HARNESS,
+           "if va > vb:", "if va >= vb:", KILLED),
+    Mutant("H9 probe ties go to the last neighborhood", ENGINE,
+           "min(probes, key", "min(reversed(probes), key", KILLED),
+    Mutant("H10 EX's screen scores a move that ties the best", ENGINE,
+           "value + bound >= limit[0]", "value + bound > limit[0]",
+           "equivalent: value + bound is a lower bound on the move's change,"
+           " so a move it ties with the best scores no lower than the best"
+           " and is not yielded"),
     # The move model.
     Mutant("N1 a reversal block never starts at the last position",
            NEIGHBORHOODS, "range(n - k + 1))", "range(n - k))", KILLED),

@@ -421,26 +421,44 @@ def test_a_phantom_improvement_fails_fast(tiny_instance, change, scans,
 
 
 def test_a_kept_descent_replays_at_every_stop(monkeypatch):
-    # A descent from a kept start scores no scan while its chain lasts, and
-    # under every cap it equals a descent that scores every scan.
+    # A descent from a kept start scores no scan while its kept scans last,
+    # and under every cap it equals a descent that scores every scan.  No
+    # descent scores a scan once the cap leaves it no move, not even after
+    # a stopped scan that accepted its best.
     inst = generate_instance(8, 3, 0.6, 0.2)
     start = (7, 6, 5, 4, 3, 2, 1, 0)
     kind, scans = Neighborhood.EX_NO_APEX, {}
+    original, started = engine._scan, []
 
     def descent(max_candidates=None, scans=None):
+        nonlocal counter
         counter, trace = EvalCounter(count=3), RunTrace()
         res = descend(inst, start, kind, FIXED_CFG, counter, trace,
                       start_objective=objective_value(inst, start),
                       max_candidates=max_candidates, scans=scans)
         return res, counter.count, trace.points
 
+    def scored(*args):
+        started.append(counter.count)
+        return original(*args)
+
+    counter = None
     kept = descent(scans=scans)
-    assert len(kept[2]) > 2    # several accepts, so a chain of scans
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_scan", None)
-        assert descent(scans=scans) == kept
+    assert len(kept[2]) > 2    # several accepts, so several kept scans
+    monkeypatch.setattr(engine, "_scan", None)
+    assert descent(scans=scans) == kept
+    monkeypatch.setattr(engine, "_scan", scored)
+    accepted_at_the_stop = 0
     for cap in range(1, kept[0].evaluations + 2):
-        assert descent(cap, scans) == descent(cap), cap
+        started.clear()
+        fresh = descent(cap)
+        # A point after the last scan started: that scan accepted a move,
+        # so only the cap ended the descent.
+        last_point = fresh[2][-1][0] if fresh[2] else 0
+        accepted_at_the_stop += last_point > started[-1]
+        assert descent(cap, scans) == fresh, cap
+        assert max(started) < 3 + cap, cap
+    assert accepted_at_the_stop > 0   # 16 of the caps
 
 
 def test_runs_sharing_their_instances_scans_equal_runs_alone(monkeypatch):
